@@ -8,12 +8,12 @@ spinors, and scalar inner fluctuations of the electroweak model.
 """
 
 from .causality import (BOUNDARY_TOL, EmbeddingMetric, Event, MixedState, SheetPoint,
-                        affine_cone_matrix, causally_related_mixed,
+                        affine_cone_matrix, affine_worst_eigenvalue, causally_related_mixed,
                         causally_related_pure, crossing_threshold, embedding_metric,
-                        extremal_length_sq, extremal_length_sq_sheets,
+                        extremal_length_sq, extremal_length_sq_sheets, interpolation_threshold,
                         is_causal_affine_function, is_causal_element_two_sheet,
                         minkowski_precedes, proper_time, proper_time_curve_oracle,
-                        two_sheet_cone_matrix)
+                        sheet_crossing_grid, two_sheet_cone_matrix, two_sheet_worst_eigenvalue)
 from .clifford import (GammaBasis, build_gamma_basis, extended_symmetry, krein_adjoint,
                        krein_product, matrices_close)
 from .dispersion import (DEFAULT_SPINOR, PlaneWaveMode, SpinorClass, SpinorKind,

@@ -25,6 +25,7 @@ import numpy as np
 
 from .clifford import GammaBasis
 from .errors import CausalityError, DomainError, InternalError, StateError
+from .finite_triple import two_point_triple
 
 BOUNDARY_TOL = 1e-12
 
@@ -87,16 +88,25 @@ class EmbeddingMetric:
         return bool(math.isinf(self.g[4, 4]))
 
 
+def _interval_sq(dt, dx_sq):
+    """-(dt)^2 + |dx|^2 from dt and |dx|^2; elementwise on arrays."""
+    return -dt * dt + dx_sq
+
+
+def _precedes(dt, l2):
+    """Time gap dt >= 0 and squared separation l2 <= 0; elementwise on arrays."""
+    return (dt >= 0.0) & (l2 <= 0.0)
+
+
 def minkowski_precedes(x: Event, y: Event) -> bool:
     """x precedes y: y is in the (closed) causal future of x."""
-    return y.t >= x.t and extremal_length_sq(x, y) <= 0.0
+    return bool(_precedes(y.t - x.t, extremal_length_sq(x, y)))
 
 
 def extremal_length_sq(x: Event, y: Event) -> float:
     """Signed squared separation -(dt)^2 + |dx|^2; <= 0 iff causally relatable."""
     dx = y.x - x.x
-    dt = y.t - x.t
-    return float(-dt * dt + dx @ dx)
+    return float(_interval_sq(y.t - x.t, dx @ dx))
 
 
 def proper_time(x: Event, y: Event) -> float:
@@ -112,10 +122,11 @@ def proper_time_curve_oracle(x: Event, y: Event, *, n_curves: int = 200,
     """Longest proper time found over random piecewise-linear causal curves.
 
     Perturbs the interior nodes of the straight line and shrinks each
-    perturbation until every segment is causal, accumulating segment lengths
-    sqrt(dt^2 - |dx|^2).  The unperturbed straight line is always included,
-    so the returned value is a tight lower bound on the true supremum; it is
-    independent of the closed form used by proper_time.
+    perturbation by 30 bisection steps until every segment is causal,
+    accumulating segment lengths sqrt(dt^2 - |dx|^2); all curves are drawn
+    and bisected together.  The unperturbed straight line is always
+    included, so the returned value is a tight lower bound on the true
+    supremum; it is independent of the closed form used by proper_time.
     """
     if not minkowski_precedes(x, y):
         raise CausalityError("events are not causally related in this order")
@@ -123,50 +134,60 @@ def proper_time_curve_oracle(x: Event, y: Event, *, n_curves: int = 200,
     base = np.linspace(x.four_vector, y.four_vector, n_segments + 1)
     scale = amplitude * (abs(y.t - x.t) + np.linalg.norm(y.x - x.x) + 1.0) / n_segments
 
-    def length(nodes):
-        seg = np.diff(nodes, axis=0)
-        dt = seg[:, 0]
-        dr = np.linalg.norm(seg[:, 1:], axis=1)
-        if np.any(dt < dr):
-            return None
-        return float(np.sum(np.sqrt(np.maximum(0.0, dt * dt - dr * dr))))
+    def causal_lengths(nodes):
+        seg = np.diff(nodes, axis=-2)
+        dt, dr = seg[..., 0], np.linalg.norm(seg[..., 1:], axis=-1)
+        return (~np.any(dt < dr, axis=-1),
+                np.sum(np.sqrt(np.maximum(0.0, dt * dt - dr * dr)), axis=-1))
 
-    best = length(base)
-    for _ in range(n_curves):
-        delta = np.zeros_like(base)
-        delta[1:-1] = scale * rng.standard_normal((n_segments - 1, 4))
-        lo, hi = 0.0, 1.0
-        if length(base + delta) is not None:
-            lo = 1.0
-        else:
-            for _ in range(30):
-                mid = 0.5 * (lo + hi)
-                if length(base + mid * delta) is not None:
-                    lo = mid
-                else:
-                    hi = mid
-        val = length(base + lo * delta)
-        if val is not None and val > best:
-            best = val
-    return best
+    delta = np.zeros((n_curves,) + base.shape)
+    delta[:, 1:-1] = scale * rng.standard_normal((n_curves, n_segments - 1, 4))
+    lo, hi = causal_lengths(base + delta)[0].astype(float), np.ones(n_curves)
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        ok = causal_lengths(base + mid[:, None, None] * delta)[0]
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    ok, lengths = causal_lengths(base + lo[:, None, None] * delta)
+    return float(np.max(lengths, where=ok, initial=causal_lengths(base)[1]))
+
+
+def _sheet_length_sq(l2, crossing: bool, m: complex):
+    """L2_m from the Minkowski l2 (a float or an array); +inf for an m = 0 crossing."""
+    base = (4.0 / math.pi**2) * l2
+    if not crossing:
+        return base
+    return math.inf if m == 0 else base + 1.0 / abs(m) ** 2
+
+
+def _pure_relation(dt, l2, crossing: bool, m: complex, tol: float):
+    """Precedence plus L2_m <= tol from dt and l2; elementwise on arrays."""
+    return _precedes(dt, l2) & (_sheet_length_sq(l2, crossing, m) <= tol)
 
 
 def extremal_length_sq_sheets(p: SheetPoint, q: SheetPoint, m: complex) -> float:
     """Extremal length squared on the two-sheet space (+inf for m = 0 crossings)."""
-    base = (4.0 / math.pi**2) * extremal_length_sq(p.event, q.event)
-    if p.sheet == q.sheet:
-        return base
-    if m == 0:
-        return math.inf
-    return base + 1.0 / abs(m) ** 2
+    return _sheet_length_sq(extremal_length_sq(p.event, q.event), p.sheet != q.sheet, m)
 
 
 def causally_related_pure(p: SheetPoint, q: SheetPoint, m: complex,
                           tol: float = BOUNDARY_TOL) -> bool:
     """Causal structure on pure points: precedence plus L2_m <= 0."""
-    if not minkowski_precedes(p.event, q.event):
-        return False
-    return extremal_length_sq_sheets(p, q, m) <= tol
+    return bool(_pure_relation(q.event.t - p.event.t, extremal_length_sq(p.event, q.event),
+                               p.sheet != q.sheet, m, tol))
+
+
+def sheet_crossing_grid(t, r, m: complex, tol: float = BOUNDARY_TOL) -> np.ndarray:
+    """causally_related_pure from the origin on sheet 0 to each (t_i, r_j, 0, 0) on sheet 1."""
+    t = np.asarray(t, dtype=float)[:, None]
+    return _pure_relation(t, _interval_sq(t, np.square(r)), True, m, tol)
+
+
+def interpolation_threshold(xi: float, eta: float, m: complex) -> float:
+    """Proper time |arcsin(sqrt(eta)) - arcsin(sqrt(xi))| / |m| needed to move
+    weight xi to eta; at m = 0, 0 for equal weights and +inf otherwise."""
+    if m == 0:
+        return 0.0 if xi == eta else math.inf
+    return abs(math.asin(math.sqrt(eta)) - math.asin(math.sqrt(xi))) / abs(m)
 
 
 def causally_related_mixed(a: MixedState, b: MixedState, m: complex,
@@ -176,15 +197,12 @@ def causally_related_mixed(a: MixedState, b: MixedState, m: complex,
         return False
     if m == 0:
         return abs(a.xi - b.xi) <= tol
-    threshold = abs(math.asin(math.sqrt(b.xi)) - math.asin(math.sqrt(a.xi))) / abs(m)
-    return proper_time(a.event, b.event) >= threshold - tol
+    return proper_time(a.event, b.event) >= interpolation_threshold(a.xi, b.xi, m) - tol
 
 
 def crossing_threshold(m: complex) -> float:
     """Minimal proper time for a sheet crossing: pi/(2|m|), +inf at m = 0."""
-    if m == 0:
-        return math.inf
-    return math.pi / (2.0 * abs(m))
+    return interpolation_threshold(0.0, 1.0, m)
 
 
 def _hermitian_or_die(mat, context: str) -> np.ndarray:
@@ -194,14 +212,24 @@ def _hermitian_or_die(mat, context: str) -> np.ndarray:
     return 0.5 * (mat + mat.conj().T)
 
 
-def affine_cone_matrix(k, basis: GammaBasis) -> np.ndarray:
-    """J * [D, f] = J * (-i gamma^mu k_mu) for an affine f with gradient k."""
+def _gradient(k) -> np.ndarray:
     k = np.asarray(k, dtype=float).reshape(-1)
     if k.shape != (4,):
         raise DomainError(f"gradient must be a real 4-vector, got shape {k.shape}")
+    return k
+
+
+def affine_cone_matrix(k, basis: GammaBasis) -> np.ndarray:
+    """J * [D, f] = J * (-i gamma^mu k_mu) for an affine f with gradient k."""
+    k = _gradient(k)
     commutator = -1j * sum(k[mu] * basis.gamma[mu] for mu in range(4))
     return _hermitian_or_die(basis.fundamental_symmetry @ commutator,
                              "affine_cone_matrix")
+
+
+def affine_worst_eigenvalue(k, basis: GammaBasis) -> float:
+    """Largest eigenvalue of the affine cone matrix; <= 0 iff f is causal."""
+    return float(np.max(np.linalg.eigvalsh(affine_cone_matrix(k, basis))))
 
 
 def is_causal_affine_function(k, basis: GammaBasis, tol: float = BOUNDARY_TOL) -> bool:
@@ -212,7 +240,7 @@ def is_causal_affine_function(k, basis: GammaBasis, tol: float = BOUNDARY_TOL) -
     of the Hermitian matrix J * (-i gamma^mu k_mu).  Equivalent to k being a
     future-directed causal covector, k_0 >= |k_vec|.
     """
-    return bool(np.max(np.linalg.eigvalsh(affine_cone_matrix(k, basis))) <= tol)
+    return affine_worst_eigenvalue(k, basis) <= tol
 
 
 def two_sheet_cone_matrix(k0, k1, c0: float, c1: float, m: complex,
@@ -222,11 +250,8 @@ def two_sheet_cone_matrix(k0, k1, c0: float, c1: float, m: complex,
     The commutator splits into a slope part -i gamma^mu (x) diag(d_mu a0,
     d_mu a1) and the internal part gamma5 (x) [D_F, diag(a0(x), a1(x))].
     """
-    k0 = np.asarray(k0, dtype=float).reshape(-1)
-    k1 = np.asarray(k1, dtype=float).reshape(-1)
-    if k0.shape != (4,) or k1.shape != (4,):
-        raise DomainError("per-sheet gradients must be real 4-vectors")
-    d_f = np.array([[0.0, m], [np.conj(m), 0.0]], dtype=complex)
+    k0, k1 = _gradient(k0), _gradient(k1)
+    d_f = two_point_triple(m).D_F
     j_ext = np.kron(basis.fundamental_symmetry, np.eye(2))
     slope = sum(-1j * np.kron(basis.gamma[mu], np.diag([k0[mu], k1[mu]]).astype(complex))
                 for mu in range(4))
@@ -237,24 +262,37 @@ def two_sheet_cone_matrix(k0, k1, c0: float, c1: float, m: complex,
                              "two_sheet_cone_matrix")
 
 
+def two_sheet_worst_eigenvalue(k0, k1, c0: float, c1: float, m: complex,
+                               points, basis: GammaBasis) -> float:
+    """Largest cone eigenvalue over the events in the rows (t, x, y, z) of points.
+
+    [D_F, diag(a0, a1)] = s [[0, m], [-conj(m), 0]] with s = a1(x) - a0(x), so
+    the cone matrix is A + s B; its largest eigenvalue is convex in s and
+    peaks at the sample of smallest or of largest s: two eigen-solves.
+    """
+    k0, k1 = _gradient(k0), _gradient(k1)
+    points = np.asarray(points, dtype=float).reshape(-1, 4)
+    if not len(points):
+        raise DomainError("sample event set is empty")
+    s = points @ k1 + c1 - (points @ k0 + c0)
+    return max(float(np.max(np.linalg.eigvalsh(two_sheet_cone_matrix(
+        k0, k1, c0, c1, m, Event(points[i, 0], points[i, 1:]), basis))))
+        for i in {int(np.argmin(s)), int(np.argmax(s))})
+
+
 def is_causal_element_two_sheet(k0, k1, c0: float, c1: float, m: complex,
                                 sample_events, basis: GammaBasis,
                                 tol: float = BOUNDARY_TOL) -> bool:
-    """Grid-sampled causal-cone test for a two-sheet element a = a0 (+) a1.
+    """Causal-cone test for a two-sheet element a = a0 (+) a1.
 
     a_i(x) = k_i . (t, x) + c_i affine with real coefficients.  The cone
-    matrix must be negative semidefinite at every sample event.  This is a
-    necessary condition only: the exact cone condition quantifies over all
-    of spacetime, while this check covers the supplied sample set.
+    matrix must be negative semidefinite at every sample event.  The answer is
+    exact over the convex hull of the samples: the matrix is affine in
+    s = a1(x) - a0(x), itself affine in the event, and its largest eigenvalue
+    is convex in s, so it peaks at a sample of extreme s.
     """
-    events = list(sample_events)
-    if not events:
-        raise DomainError("sample event set is empty")
-    for ev in events:
-        mat = two_sheet_cone_matrix(k0, k1, c0, c1, m, ev, basis)
-        if float(np.max(np.linalg.eigvalsh(mat))) > tol:
-            return False
-    return True
+    points = [ev.four_vector for ev in sample_events]
+    return two_sheet_worst_eigenvalue(k0, k1, c0, c1, m, points, basis) <= tol
 
 
 def embedding_metric(m: complex) -> EmbeddingMetric:

@@ -7,8 +7,6 @@ for identical inputs and seeds.
 """
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -32,13 +30,23 @@ def _num(x: float):
     return "inf" if math.isinf(x) else float(x)
 
 
+def _finite_float(text: str) -> float:
+    """JSON number hook: NaN, Infinity and overflowing literals (1e400) are malformed."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
+_STRICT_JSON = {"parse_float": _finite_float, "parse_constant": _finite_float}
+
+
 def _read_json(path: str):
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            return json.load(sys.stdin, **_STRICT_JSON)
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
+            return json.load(fh, **_STRICT_JSON)
+    except ValueError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
@@ -53,8 +61,7 @@ def _validated(doc, schema, context: str):
 
 
 def _load_triple(path: str):
-    doc = _validated(_read_json(path), TRIPLE_SCHEMA, f"triple file {path}")
-    return triple_from_dict(doc)
+    return triple_from_dict(_validated(_read_json(path), TRIPLE_SCHEMA, f"triple file {path}"))
 
 
 def _scenario(args, command: str):
@@ -72,8 +79,8 @@ def _parse_state(text: str, n: int) -> distance.AlgebraState:
     except ValueError:
         pass
     try:
-        weights = json.loads(text)
-    except json.JSONDecodeError as exc:
+        weights = json.loads(text, **_STRICT_JSON)
+    except ValueError as exc:
         raise InputError(f"state {text!r} is neither an index nor a JSON list") from exc
     if not isinstance(weights, list):
         raise InputError(f"state {text!r} must decode to a list of weights")
@@ -81,9 +88,8 @@ def _parse_state(text: str, n: int) -> distance.AlgebraState:
 
 
 def _cmd_validate(args, basis):
-    triple = _load_triple(args.triple)
     tol = args.tolerance if args.tolerance is not None else 1e-10
-    report = validate_axioms(triple, basis, tol=tol)
+    report = validate_axioms(_load_triple(args.triple), tol=tol)
     return {
         "all_passed": report.all_passed,
         "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
@@ -111,32 +117,18 @@ def _cmd_causal(args, basis):
     ev_a, ev_b = _event(doc["event_a"]), _event(doc["event_b"])
     m = decode_complex(doc["m"])
     tol = args.tolerance if args.tolerance is not None else causality.BOUNDARY_TOL
-    precedes = causality.minkowski_precedes(ev_a, ev_b)
-    tau = causality.proper_time(ev_a, ev_b) if precedes else None
-
-    if "sheets" in doc:
-        i, j = doc["sheets"]
-        pa = causality.SheetPoint(ev_a, i)
-        pb = causality.SheetPoint(ev_b, j)
-        related = causality.causally_related_pure(pa, pb, m, tol=tol)
-        l2m = causality.extremal_length_sq_sheets(pa, pb, m)
-        threshold = causality.crossing_threshold(m) if i != j else 0.0
-    else:
-        xi, eta = doc["xis"]
-        sa = causality.MixedState(ev_a, xi)
-        sb = causality.MixedState(ev_b, eta)
-        related = causality.causally_related_mixed(sa, sb, m, tol=tol)
-        l2m = None
-        if m == 0:
-            threshold = 0.0 if xi == eta else math.inf
-        else:
-            threshold = abs(math.asin(math.sqrt(eta)) - math.asin(math.sqrt(xi))) / abs(m)
-
+    tau = causality.proper_time(ev_a, ev_b) if causality.minkowski_precedes(ev_a, ev_b) else None
+    # a sheet index is the weight of an endpoint interpolating state
+    pure = "sheets" in doc
+    weights = doc["sheets"] if pure else doc["xis"]
+    state = causality.SheetPoint if pure else causality.MixedState
+    relation = causality.causally_related_pure if pure else causality.causally_related_mixed
+    a, b = state(ev_a, weights[0]), state(ev_b, weights[1])
     return {
-        "related": related,
-        "L2m": None if l2m is None else _num(l2m),
-        "proper_time": None if tau is None else float(tau),
-        "threshold": _num(threshold),
+        "related": relation(a, b, m, tol=tol),
+        "L2m": _num(causality.extremal_length_sq_sheets(a, b, m)) if pure else None,
+        "proper_time": tau,
+        "threshold": _num(causality.interpolation_threshold(*weights, m)),
     }
 
 
@@ -144,39 +136,25 @@ def _cmd_cone(args, basis):
     doc = _scenario(args, "cone")
     tol = args.tolerance if args.tolerance is not None else causality.BOUNDARY_TOL
     if "k" in doc:
-        k = np.asarray(doc["k"], dtype=float)
-        worst = float(np.max(np.linalg.eigvalsh(causality.affine_cone_matrix(k, basis))))
-        return {"causal": worst <= tol, "worst_eigenvalue": worst}
-
-    box = doc["box"]
-    axes = [np.linspace(box[name][0], box[name][1], box["n"]) for name in ("t", "x", "y", "z")]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    events = [causality.Event(t=pt[0], x=np.asarray(pt[1:]))
-              for pt in np.stack([m.ravel() for m in mesh], axis=1)]
-    m = decode_complex(doc["m"])
-    worst = -math.inf
-    for ev in events:
-        mat = causality.two_sheet_cone_matrix(doc["k0"], doc["k1"], doc["c0"],
-                                              doc["c1"], m, ev, basis)
-        worst = max(worst, float(np.max(np.linalg.eigvalsh(mat))))
+        worst = causality.affine_worst_eigenvalue(doc["k"], basis)
+    else:
+        axes = [np.linspace(*doc["box"][name], doc["box"]["n"]) for name in "txyz"]
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        worst = causality.two_sheet_worst_eigenvalue(doc["k0"], doc["k1"], doc["c0"], doc["c1"],
+                                                     decode_complex(doc["m"]), points, basis)
     return {"causal": worst <= tol, "worst_eigenvalue": worst}
 
 
 def _cmd_lightcone_scan(args, basis):
     doc = _scenario(args, "lightcone-scan")
-    m = decode_complex(doc["m"])
-    origin = causality.SheetPoint(causality.Event(0.0, np.zeros(3)), 0)
     tol = args.tolerance if args.tolerance is not None else causality.BOUNDARY_TOL
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "r", "sheet_crossing_allowed"])
-    for t in np.linspace(doc["t_min"], doc["t_max"], doc["t_steps"]):
-        for r in np.linspace(doc["r_min"], doc["r_max"], doc["r_steps"]):
-            target = causality.SheetPoint(
-                causality.Event(float(t), np.array([float(r), 0.0, 0.0])), 1)
-            allowed = causality.causally_related_pure(origin, target, m, tol=tol)
-            writer.writerow([repr(float(t)), repr(float(r)), int(allowed)])
-    return buf.getvalue()
+    t, r = (np.linspace(doc[f"{a}_min"], doc[f"{a}_max"], doc[f"{a}_steps"]) for a in "tr")
+    allowed = causality.sheet_crossing_grid(t, r, decode_complex(doc["m"]), tol=tol)
+    t_col, r_col = (np.array([repr(v) for v in a.tolist()], dtype=object) for a in (t, r))
+    cells = np.empty(allowed.shape + (2,), dtype=object)  # shared "t" and ",r,flag" strings
+    cells[..., 0] = t_col[:, None]
+    cells[..., 1] = np.where(allowed, "," + r_col + ",1\n", "," + r_col + ",0\n")
+    return "".join(["t,r,sheet_crossing_allowed\n", *cells.ravel().tolist()])
 
 
 def _cmd_classify(args, basis):

@@ -174,17 +174,14 @@ def _span_residual(products, generators) -> float:
     return worst
 
 
-def validate_axioms(triple: FiniteTriple, basis=None, tol: float = 1e-10) -> ValidationReport:
+def validate_axioms(triple: FiniteTriple, tol: float = 1e-10) -> ValidationReport:
     """Check the finite-triple axioms; failures become report entries.
 
     Checks: (a) D_F Hermitian, (b) generator products stay in the real span
     of the generators, (c) order zero [a, J b* J^-1] = 0, (d) first order
     [[D_F, a], J b* J^-1] = 0, (e) grading relations.  (c)-(e) run only when
-    J_F / gamma_F are present.  The basis argument is accepted for signature
-    uniformity with the rest of the package and is not needed by the
-    finite-matrix checks.
+    J_F / gamma_F are present.
     """
-    del basis
     checks = []
     d = triple.D_F
     gens = triple.algebra_generators

@@ -37,41 +37,27 @@ TRIPLE_SCHEMA = {
     },
 }
 
+
+def _causal_scenario(key: str, weight: dict) -> dict:
+    """Two events, a mass and a pair of sheet indices or of interpolation weights."""
+    return {
+        "type": "object",
+        "required": ["event_a", "event_b", "m", key],
+        "additionalProperties": False,
+        "properties": {
+            "event_a": EVENT,
+            "event_b": EVENT,
+            "m": COMPLEX,
+            key: {"type": "array", "items": weight, "minItems": 2, "maxItems": 2},
+        },
+    }
+
+
 INPUT_SCHEMAS = {
     "causal": {
         "oneOf": [
-            {
-                "type": "object",
-                "required": ["event_a", "event_b", "m", "sheets"],
-                "additionalProperties": False,
-                "properties": {
-                    "event_a": EVENT,
-                    "event_b": EVENT,
-                    "m": COMPLEX,
-                    "sheets": {
-                        "type": "array",
-                        "items": {"type": "integer", "enum": [0, 1]},
-                        "minItems": 2,
-                        "maxItems": 2,
-                    },
-                },
-            },
-            {
-                "type": "object",
-                "required": ["event_a", "event_b", "m", "xis"],
-                "additionalProperties": False,
-                "properties": {
-                    "event_a": EVENT,
-                    "event_b": EVENT,
-                    "m": COMPLEX,
-                    "xis": {
-                        "type": "array",
-                        "items": {"type": "number", "minimum": 0, "maximum": 1},
-                        "minItems": 2,
-                        "maxItems": 2,
-                    },
-                },
-            },
+            _causal_scenario("sheets", {"type": "integer", "enum": [0, 1]}),
+            _causal_scenario("xis", {"type": "number", "minimum": 0, "maximum": 1}),
         ]
     },
     "cone": {

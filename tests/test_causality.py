@@ -135,6 +135,24 @@ class TestCausalRelations:
         hi_early = ts.MixedState(ev(math.pi / 2 - 1e-6), 1.0)
         assert not ts.causally_related_mixed(lo, hi_early, m=1.0)
 
+    def test_endpoint_threshold_is_crossing_threshold(self):
+        for m in (0.0, 0.5, 1.0, 2.0, 1 + 2j):
+            assert ts.interpolation_threshold(0.0, 1.0, m) == pytest.approx(
+                ts.crossing_threshold(m))
+            assert ts.interpolation_threshold(0.3, 0.3, m) == 0.0
+
+    def test_crossing_grid_matches_pure_relation(self, rng):
+        t = np.concatenate([rng.uniform(-1.0, 4.0, size=12), [0.0, math.pi / 2]])
+        r = np.concatenate([rng.uniform(-1.0, 3.0, size=9), [0.0]])
+        origin = ts.SheetPoint(ev(0.0), 0)
+        for m in (0.0, 1.0, 0.3 - 0.7j):
+            grid = ts.sheet_crossing_grid(t, r, m)
+            assert grid.shape == (len(t), len(r))
+            for i, tt in enumerate(t):
+                for j, rr in enumerate(r):
+                    assert grid[i, j] == ts.causally_related_pure(
+                        origin, ts.SheetPoint(ev(tt, rr), 1), m)
+
     def test_mixed_degenerate_mass(self):
         a = ts.MixedState(ev(0.0), 0.4)
         assert ts.causally_related_mixed(a, ts.MixedState(ev(5.0), 0.4), m=0.0)
@@ -238,6 +256,24 @@ class TestTwoSheetCone:
         near = [ev(0.0)]
         assert ts.is_causal_element_two_sheet(k, k, 0.0, 0.1, 1.0, near, basis)
         assert not ts.is_causal_element_two_sheet(k, k, 0.0, 5.0, 1.0, near, basis)
+
+    def test_worst_eigenvalue_covers_convex_hull(self, basis, rng):
+        # lambda_max is convex in s = a1 - a0, so no event inside the hull of
+        # the samples beats the samples of extreme s
+        for _ in range(20):
+            k0, k1 = rng.normal(size=4), rng.normal(size=4)
+            c0, c1 = rng.normal(size=2)
+            m = complex(*rng.normal(size=2))
+            samples = rng.uniform(-2, 2, size=(5, 4))
+            worst = ts.two_sheet_worst_eigenvalue(k0, k1, c0, c1, m, samples, basis)
+            at_samples = [np.max(np.linalg.eigvalsh(ts.two_sheet_cone_matrix(
+                k0, k1, c0, c1, m, ts.Event(p[0], p[1:]), basis))) for p in samples]
+            assert worst == max(at_samples)
+            for w in rng.dirichlet(np.ones(5), size=30):
+                p = w @ samples
+                inside = np.max(np.linalg.eigvalsh(ts.two_sheet_cone_matrix(
+                    k0, k1, c0, c1, m, ts.Event(p[0], p[1:]), basis)))
+                assert inside <= worst + 1e-12
 
 
 class TestEmbeddingMetric:

@@ -13,6 +13,7 @@ from twosheet.cli import main
 from twosheet.schemas import OUTPUT_SCHEMAS, all_schema_files
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+EVENTS = '"event_a": {"t": 0.0, "x": [0, 0, 0]}, "event_b": {"t": 2.0, "x": [0, 0, 0]}'
 
 
 def run(capsys, *argv):
@@ -141,6 +142,25 @@ class TestCausal:
         assert out["threshold"] == "inf"
         jsonschema.validate(out, OUTPUT_SCHEMAS["causal"])
 
+    @pytest.mark.parametrize("m", [[0.0, 0.0], [1.3, 0.0], [-0.4, 2.1]])
+    @pytest.mark.parametrize("xis", [[0.0, 1.0], [0.35, 0.35], [0.9, 0.2], [1, 0]])
+    def test_mixed_threshold_matches_arcsin_formula(self, capsys, scenario, m, xis):
+        doc = {"event_a": {"t": 0.0, "x": [0, 0, 0]},
+               "event_b": {"t": 1.5, "x": [0.2, 0, 0]}, "m": m, "xis": xis}
+        code, out = run(capsys, "causal", scenario(doc))
+        assert code == 0
+        xi, eta = xis
+        mass = abs(complex(*m))
+        if mass == 0:
+            threshold = 0.0 if xi == eta else "inf"
+            related = abs(xi - eta) <= 1e-12
+        else:
+            threshold = abs(math.asin(math.sqrt(eta)) - math.asin(math.sqrt(xi))) / mass
+            related = math.sqrt(1.5**2 - 0.2**2) >= threshold - 1e-12
+        expected = {"L2m": None, "proper_time": math.sqrt(1.5**2 - 0.2**2),
+                    "related": related, "threshold": threshold}
+        assert out == json.dumps(expected, sort_keys=True) + "\n"
+
 
 class TestCone:
     def test_time_gradient(self, capsys, scenario):
@@ -166,6 +186,29 @@ class TestCone:
         assert out["worst_eigenvalue"] == pytest.approx(-1.0)
         jsonschema.validate(out, OUTPUT_SCHEMAS["cone"])
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_box_matches_every_grid_event(self, capsys, scenario, basis, seed):
+        # reference: the largest cone eigenvalue over every event of the grid
+        rng = np.random.default_rng(seed)
+        n = (1, 2, 3)[seed % 3]
+        box = {name: sorted(float(v) for v in rng.uniform(-2, 2, size=2))
+               for name in ("t", "x", "y", "z")}
+        doc = {"k0": [float(v) for v in rng.normal(size=4)],
+               "k1": [float(v) for v in rng.normal(size=4)],
+               "c0": float(rng.normal()), "c1": float(rng.normal()),
+               "m": [float(v) for v in rng.normal(size=2)], "box": {**box, "n": n}}
+        m = complex(*doc["m"])
+        axes = [np.linspace(*box[name], n) for name in ("t", "x", "y", "z")]
+        worst = max(
+            float(np.max(np.linalg.eigvalsh(ts.two_sheet_cone_matrix(
+                doc["k0"], doc["k1"], doc["c0"], doc["c1"], m, ts.Event(t, [x, y, z]),
+                basis))))
+            for t in axes[0] for x in axes[1] for y in axes[2] for z in axes[3])
+        code, out = run(capsys, "cone", scenario(doc))
+        assert code == 0
+        expected = {"causal": worst <= 1e-12, "worst_eigenvalue": worst}
+        assert out == json.dumps(expected, sort_keys=True) + "\n"
+
 
 class TestLightconeScan:
     def test_csv_boundary(self, capsys, scenario):
@@ -182,6 +225,27 @@ class TestLightconeScan:
             t, r = float(t_str), float(r_str)
             expected = t >= r and t * t - r * r >= (math.pi / 2) ** 2 - 1e-12
             assert int(flag) == int(expected)
+
+    @pytest.mark.parametrize("doc", [
+        {"m": [0.8, -0.5], "t_min": -1.0, "t_max": 3.5, "t_steps": 23,
+         "r_min": -0.5, "r_max": 2.5, "r_steps": 17},
+        {"m": [0.0, 0.0], "t_min": -0.25, "t_max": 40.0, "t_steps": 9,
+         "r_min": 0.0, "r_max": 1.0, "r_steps": 4},
+        {"m": [2.0, 0.0], "t_min": 0.0, "t_max": math.pi / 4, "t_steps": 1,
+         "r_min": 0.0, "r_max": 0.0, "r_steps": 1},
+    ])
+    def test_matches_cell_by_cell_relation(self, capsys, scenario, doc):
+        m = complex(*doc["m"])
+        origin = ts.SheetPoint(ts.Event(0.0, np.zeros(3)), 0)
+        lines = ["t,r,sheet_crossing_allowed"]
+        for t in np.linspace(doc["t_min"], doc["t_max"], doc["t_steps"]):
+            for r in np.linspace(doc["r_min"], doc["r_max"], doc["r_steps"]):
+                target = ts.SheetPoint(ts.Event(float(t), [float(r), 0.0, 0.0]), 1)
+                allowed = ts.causally_related_pure(origin, target, m)
+                lines.append(f"{float(t)!r},{float(r)!r},{int(allowed)}")
+        code, out = run(capsys, "lightcone-scan", scenario(doc))
+        assert code == 0
+        assert out == "\n".join(lines) + "\n"
 
 
 class TestClassify:
@@ -272,6 +336,27 @@ class TestInputHandling:
         code, out = run_json(capsys, "distance", "--triple", two_point_file,
                              "--state-a", "oops", "--state-b", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("command, text", [
+        ("causal", '{%s, "m": [NaN, 0.0], "sheets": [0, 1]}' % EVENTS),
+        ("causal", '{%s, "m": [Infinity, 0.0], "xis": [0.2, 0.7]}' % EVENTS),
+        ("fluctuate", '{"m_e": [NaN, 0.0], "v": 1.0, "h": 0.5}'),
+        ("causal", '{%s, "m": [1e400, 0.0], "xis": [0.2, 0.7]}' % EVENTS),
+    ], ids=["nan-causal", "inf-causal", "nan-fluctuate", "overflow-causal"])
+    def test_non_finite_numbers_exit_2(self, capsys, tmp_path, command, text):
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        code, out = run_json(capsys, command, str(path))
+        assert code == 2
+        assert out["error"] == "MalformedInput"
+
+    @pytest.mark.parametrize("weights", ["[NaN, 1.0]", "[-Infinity, 1.0]", "[1e400, 0.0]"])
+    def test_non_finite_state_weights_exit_2(self, capsys, two_point_file, weights):
+        for flag, other in (("--state-a", "--state-b"), ("--state-b", "--state-a")):
+            code, out = run_json(capsys, "distance", "--triple", two_point_file,
+                                 flag, weights, other, "0")
+            assert code == 2
+            assert out["error"] == "MalformedInput"
 
 
 class TestDeterminism:
