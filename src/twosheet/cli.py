@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 domain error (error name from the owning module),
 2 malformed input (bad JSON, schema violation, unreadable file).  Errors are
-emitted as machine-readable JSON objects on stdout.  Output is byte-stable
-for identical inputs and seeds.
+emitted as machine-readable JSON objects on stdout.  Output is strict JSON
+(+inf is the string "inf"; any other non-finite result is a DomainError) and
+byte-stable for identical inputs.
 """
 
 import argparse
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import causality, dispersion, distance, fluctuation
 from .clifford import build_gamma_basis
-from .errors import StateError, TwoSheetError
+from .errors import DomainError, StateError, TwoSheetError
 from .finite_triple import (decode_complex, electroweak_triple, encode_matrix,
                             triple_from_dict, validate_axioms)
 from .schemas import INPUT_SCHEMAS, TRIPLE_SCHEMA
@@ -27,7 +28,8 @@ class InputError(Exception):
 
 
 def _num(x: float):
-    return "inf" if math.isinf(x) else float(x)
+    """+inf as "inf"; -inf and NaN stay floats, which _encode refuses."""
+    return "inf" if x == math.inf else float(x)
 
 
 def _finite_float(text: str) -> float:
@@ -37,7 +39,18 @@ def _finite_float(text: str) -> float:
     return value
 
 
-_STRICT_JSON = {"parse_float": _finite_float, "parse_constant": _finite_float}
+def _double_int(text: str) -> int:
+    """JSON integer hook: literals beyond the double range are malformed."""
+    value = int(text)
+    try:
+        float(value)
+    except OverflowError as exc:
+        raise ValueError(f"integer {text[:20]}... overflows a double") from exc
+    return value
+
+
+_STRICT_JSON = {"parse_float": _finite_float, "parse_constant": _finite_float,
+                "parse_int": _double_int}
 
 
 def _read_json(path: str):
@@ -103,7 +116,7 @@ def _cmd_distance(args, basis):
     state_a = _parse_state(args.state_a, n)
     state_b = _parse_state(args.state_b, n)
     tol = args.tolerance if args.tolerance is not None else 1e-12
-    result = distance.connes_distance(triple, state_a, state_b, seed=args.seed,
+    result = distance.connes_distance(triple, state_a, state_b,
                                       oracle_step=args.oracle_step, tol=tol)
     return {
         "value": _num(result.value),
@@ -234,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tolerance", type=float, default=None,
                         help="override the default tolerance of the operation")
     common.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized internals (distance multi-start)")
+                        help="accepted for compatibility; no subcommand is randomized")
     common.add_argument("--output", default=None,
                         help="write the result to this path instead of stdout")
 
@@ -267,6 +280,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _encode(result) -> str:
+    if isinstance(result, str):
+        return result
+    try:
+        return json.dumps(result, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DomainError(f"result is not finite: {exc}") from exc
+
+
 def _emit(text: str, path):
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -280,7 +302,7 @@ def main(argv=None) -> int:
     basis = build_gamma_basis()
     handler = _HANDLERS[args.command]
     try:
-        result = handler(args, basis)
+        text = _encode(handler(args, basis))
     except InputError as exc:
         sys.stdout.write(json.dumps({"error": "MalformedInput", "message": str(exc)},
                                     sort_keys=True) + "\n")
@@ -289,10 +311,7 @@ def main(argv=None) -> int:
         sys.stdout.write(json.dumps({"error": type(exc).__name__, "message": str(exc)},
                                     sort_keys=True) + "\n")
         return 1
-    if isinstance(result, str):
-        _emit(result, args.output)
-    else:
-        _emit(json.dumps(result, sort_keys=True) + "\n", args.output)
+    _emit(text, args.output)
     return 0
 
 

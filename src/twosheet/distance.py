@@ -4,21 +4,12 @@ The distance between states w, w' of a commutative internal algebra is
 
     d(w, w') = sup { |w(a) - w'(a)| : a = a*, ||[D_F, a]|| <= 1 },
 
-with ||.|| the spectral norm.  For algebras represented by diagonal
-generators g_k the supremum is a finite-dimensional problem over the real
-coefficients c of a = sum_k c_k g_k: maximize d.c subject to
-||sum_k c_k [D_F, g_k]|| <= 1 with d_k = w_k - w'_k.  The constraint is
-blind to coefficient directions annihilated by the commutator map (for
-partition-of-unity generators the identity direction always is).  When the
-objective vanishes on that null space the problem restricts to its
-orthogonal complement; otherwise a feasible ray makes the objective
-unbounded and the distance is +inf.
-
-The optimizer does multi-start projected gradient ascent on the
-scale-invariant ratio (d.c)/||K(c)||; the oracle is an exhaustive grid
-search over feasible coefficients and is guaranteed to return a value <=
-the true supremum.  Restricting to self-adjoint a (real c) is the standard
-reduction; tests spot-check that complex coefficients never do better.
+with ||.|| the spectral norm.  For diagonal generators g_k it is the convex
+problem max d.c subject to ||sum_k c_k [D_F, g_k]|| <= 1 over real c, with
+d_k = w_k - w'_k, which a log-det barrier method solves.  A dual matrix,
+whose nuclear norm (the dual of the spectral norm) bounds the distance from
+above, certifies the answer; the grid oracle bounds it from below.  Tests
+spot-check that complex c, i.e. a not self-adjoint, never do better.
 """
 
 import math
@@ -26,10 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OracleIntractable, StateError, UnsupportedAlgebra
+from .errors import (DomainError, OracleIntractable, StateError, UnsupportedAlgebra,
+                     UnsupportedTriple)
 from .finite_triple import FiniteTriple
 
 _KERNEL_RTOL = 1e-12
+_GAP_RTOL = 1e-9
+_NEWTON_BUDGET = 200
+_T_GROWTH = 32.0
+_CENTERED = 2e-3  # squared Newton decrement that ends a centering round
+_RCOND = 1e-10  # fits ignore near-null directions, such as both weights of a +-pair
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,8 +44,8 @@ class AlgebraState:
         object.__setattr__(self, "weights", w)
         if w.size == 0:
             raise StateError("state needs at least one weight")
-        if np.any(w < -1e-12):
-            raise StateError(f"negative weight in {w.tolist()}")
+        if not np.all(w >= -1e-12):  # also refuses NaN; +inf fails the sum
+            raise StateError(f"negative or NaN weight in {w.tolist()}")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise StateError(f"weights sum to {float(w.sum())!r}, expected 1")
 
@@ -56,9 +53,7 @@ class AlgebraState:
     def pure(cls, index: int, n: int) -> "AlgebraState":
         if not 0 <= index < n:
             raise StateError(f"pure-state index {index} out of range for {n} generators")
-        w = np.zeros(n)
-        w[index] = 1.0
-        return cls(w)
+        return cls(np.eye(n)[index])
 
     @classmethod
     def two_point_mixed(cls, xi: float) -> "AlgebraState":
@@ -68,11 +63,16 @@ class AlgebraState:
 
 @dataclass(frozen=True, eq=False)
 class DistanceResult:
-    """Distance value (may be +inf), the maximizing element, and oracle gap."""
+    """Distance value (may be +inf), the maximizing element, and oracle gap.
+
+    A finite value has the certified upper bound ||dual||_*, where the dual
+    matrix satisfies Re tr([D_F, g_k]^* dual) = d_k for every generator."""
 
     value: float
     maximizer: np.ndarray | None = None
     gap: float | None = None
+    bound: float | None = None
+    dual: np.ndarray | None = None
 
     @property
     def is_infinite(self) -> bool:
@@ -95,7 +95,8 @@ class GridSpec:
     max_points: int = 2_000_000
 
 
-def _diagonal_generators(triple: FiniteTriple):
+def _generators_and_difference(triple: FiniteTriple, state_a, state_b):
+    """The diagonal generators g_k and the weight difference d = w_a - w_b."""
     gens = triple.algebra_generators
     if not gens:
         raise UnsupportedAlgebra("triple has no algebra generators")
@@ -105,127 +106,131 @@ def _diagonal_generators(triple: FiniteTriple):
             raise UnsupportedAlgebra(
                 "distance is implemented for diagonally represented "
                 "(commutative) internal algebras only")
-    return gens
+    for state in (state_a, state_b):
+        if not isinstance(state, AlgebraState):
+            raise StateError(f"expected AlgebraState, got {type(state).__name__}")
+        if state.weights.size != len(gens):
+            raise StateError(f"{state.weights.size} weights for {len(gens)} generators")
+    return gens, state_a.weights - state_b.weights
 
 
-def _state_vector(state: AlgebraState, n: int) -> np.ndarray:
-    if not isinstance(state, AlgebraState):
-        raise StateError(f"expected AlgebraState, got {type(state).__name__}")
-    if state.weights.size != n:
-        raise StateError(f"state has {state.weights.size} weights, algebra has {n} generators")
-    return state.weights
+def _commutators(d_f: np.ndarray, gens) -> np.ndarray:
+    return np.stack([d_f @ g - g @ d_f for g in gens])
 
 
-def _commutators(triple: FiniteTriple, gens) -> np.ndarray:
-    return np.stack([triple.D_F @ g - g @ triple.D_F for g in gens])
+def _real_rows(basis: np.ndarray) -> np.ndarray:
+    """Row k is [Re B_k, Im B_k] flattened, so <B_k, X> = row_k . [Re X, Im X]."""
+    return np.concatenate([basis.real, basis.imag], axis=1).reshape(basis.shape[0], -1)
 
 
 def _row_and_kernel(comms: np.ndarray):
     """Orthonormal bases of the effective coefficient space and its kernel."""
-    n = comms.shape[0]
-    flat = comms.reshape(n, -1)
-    mat = np.concatenate([flat.real, flat.imag], axis=1).T
-    _, s, vt = np.linalg.svd(mat, full_matrices=True)
+    _, s, vt = np.linalg.svd(_real_rows(comms).T, full_matrices=True)
     cutoff = max(float(s[0]) * _KERNEL_RTOL, 1e-14) if s.size else 0.0
     rank = int(np.sum(s > cutoff))
     return vt[:rank].T, vt[rank:].T
 
 
-def _spectral_norm(mat: np.ndarray) -> float:
-    return float(np.linalg.svd(mat, compute_uv=False)[0])
+def _fit(basis: np.ndarray, e: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """y plus the least-norm Hermitian correction that makes <B_k, y> = e_k exact."""
+    r = e - np.real(np.einsum("kij,ji->k", basis, y))
+    x = np.linalg.lstsq(_real_rows(basis), r, rcond=_RCOND)[0].reshape(2, *basis.shape[1:])
+    x = x[0] + 1j * x[1]
+    return y + (x + x.conj().T) / 2
+
+
+def _active_parts(basis, e, lam, vecs, t):
+    """A step moving the eigenvalues within 10||H||/sqrt(t) of +-||H|| onto +-||H||
+    to first order, and a dual fitting their KKT weights in the active blocks
+    (one per sign, by complementary slackness), then in the whole space."""
+    top = np.abs(lam).max()
+    act = np.abs(lam) >= (1.0 - 10 * t ** -0.5) * top
+    u, lam = vecs[:, act], lam[act]
+    inner = (u.conj().T @ basis @ u) * (np.sign(lam)[:, None] == np.sign(lam)[None, :])
+    target = np.diag(np.sign(lam) * top - lam)
+    step = np.linalg.lstsq(_real_rows(inner).T, _real_rows(target[None])[0], rcond=_RCOND)[0]
+    y = u @ _fit(inner, e, np.diag((1 / (1 - lam) - 1 / (1 + lam)) / t)) @ u.conj().T
+    return step, _fit(basis, e, y)
+
+
+def _barrier_solve(basis: np.ndarray, e: np.ndarray, unit: float):
+    """max e.z subject to -I <= H(z) = sum_k z_k B_k <= I, for Hermitian B_k.
+
+    Newton steps on -t e.z - logdet(I - H) - logdet(I + H), each trial kept
+    strictly inside, with t raised between rounds.  Each round offers points
+    scaled to ||H|| = 1 and duals Y with <B_k, Y> = e_k, so e.z <= ||Y||_*:
+    its iterate, the active-set step, and Richardson extrapolations that
+    cancel the O(1/t) term of the central path.  unit * value is a distance."""
+    def barrier(z, t):  # eigh, as in the step, so that accepted points keep |lam| < 1
+        lam = np.linalg.eigh(np.tensordot(z, basis, 1))[0]
+        if lam[0] <= -1.0 or lam[-1] >= 1.0:
+            return math.inf
+        return -t * float(e @ z) - float(np.log1p(-lam).sum() + np.log1p(lam).sum())
+
+    z, t, steps, stalled, prev = np.zeros(len(e)), 1.0, 0, False, None
+    value, point, bound, dual = 0.0, z, math.inf, None
+    while True:
+        while steps < _NEWTON_BUDGET and not stalled:
+            steps += 1
+            lam, vecs = np.linalg.eigh(np.tensordot(z, basis, 1))
+            rot = vecs.conj().T @ basis @ vecs
+            a, b = 1 / (1 - lam), 1 / (1 + lam)
+            grad = np.real(np.diagonal(rot, axis1=1, axis2=2)) @ (a - b) - t * e
+            hess = np.real(np.einsum("kij,lji,ij->kl", rot, rot,
+                                     np.outer(a, a) + np.outer(b, b)))
+            dz = -np.linalg.lstsq(hess, grad, rcond=None)[0]
+            decrement, f0, s = -float(grad @ dz), barrier(z, t), 1.0
+            while s >= 1e-12 and barrier(z + s * dz, t) > f0 - 0.25 * s * decrement:
+                s /= 2
+            if not (stalled := s < 1e-12):
+                z = z + s * dz
+            if decrement <= _CENTERED:
+                break
+        step, y = _active_parts(basis, e, *np.linalg.eigh(np.tensordot(z, basis, 1)), t)
+        z0, y0 = prev or (z, y)
+        prev = z, y
+        for p in (z, z + step, (_T_GROWTH * z - z0) / (_T_GROWTH - 1)):
+            p = p / np.abs(np.linalg.eigvalsh(np.tensordot(p, basis, 1))).max()
+            if float(e @ p) > value:
+                value, point = float(e @ p), p
+        for y in (y, (_T_GROWTH * y - y0) / (_T_GROWTH - 1)):
+            if (norm := float(np.abs(np.linalg.eigvalsh(y)).sum())) < bound:
+                bound, dual = norm, y
+        if (stalled or steps >= _NEWTON_BUDGET
+                or unit * (bound - value) <= _GAP_RTOL * max(1.0, unit * value)):
+            return value, point, bound, dual
+        t *= _T_GROWTH
 
 
 def connes_distance(triple: FiniteTriple, state_a: AlgebraState, state_b: AlgebraState,
-                    *, seed: int = 0, starts: int = 16, max_iter: int = 200,
-                    oracle_step: float | None = None, tol: float = 1e-12) -> DistanceResult:
+                    *, oracle_step: float | None = None, tol: float = 1e-12) -> DistanceResult:
     """Spectral distance between two states of a diagonal internal algebra.
 
-    Deterministic for a fixed seed: the multi-start ascent draws its starting
-    directions from a seeded generator and reduces with first-best argmax, so
-    the result does not depend on evaluation order.  Pass oracle_step to also
-    run the grid oracle and record |optimizer - oracle| in the gap field.
-    """
-    gens = _diagonal_generators(triple)
-    n = len(gens)
-    d = _state_vector(state_a, n) - _state_vector(state_b, n)
-    if float(np.max(np.abs(d), initial=0.0)) <= tol:
-        gap = None
-        if oracle_step is not None:
-            gap = connes_distance_oracle(triple, state_a, state_b,
-                                         GridSpec(step=oracle_step))
-        return DistanceResult(0.0, np.zeros_like(triple.D_F), gap)
-
-    comms = _commutators(triple, gens)
-    row, kernel = _row_and_kernel(comms)
-    if kernel.shape[1] and float(np.linalg.norm(kernel.T @ d)) > 1e-12 * float(np.linalg.norm(d)):
-        return DistanceResult(math.inf, None, None)
-
-    gen_stack = np.stack(gens)
-
-    def seminorm(c):
-        return _spectral_norm(np.tensordot(c, comms, axes=(0, 0)))
-
-    def ratio(c):
-        nu = seminorm(c)
-        if nu <= 1e-300:
-            return -math.inf
-        return float(d @ c) / nu
-
-    def seminorm_grad(c):
-        k = np.tensordot(c, comms, axes=(0, 0))
-        u, s, vh = np.linalg.svd(k)
-        u1 = u[:, 0]
-        v1 = vh[0].conj()
-        grad = np.array([float(np.real(np.vdot(u1, comms[j] @ v1))) for j in range(n)])
-        return float(s[0]), grad
-
-    rng = np.random.default_rng(seed)
-    d_eff = row @ (row.T @ d)
-    start_dirs = [d_eff] + [row @ rng.standard_normal(row.shape[1])
-                            for _ in range(max(0, starts - 1))]
-
-    best_val = 0.0
-    best_c = None
-    for c0 in start_dirs:
-        nrm = float(np.linalg.norm(c0))
-        if nrm < 1e-14:
-            continue
-        c = c0 / nrm
-        if float(d @ c) < 0:
-            c = -c
-        f = ratio(c)
-        for _ in range(max_iter):
-            nu, gnu = seminorm_grad(c)
-            grad = d / nu - (float(d @ c) / nu**2) * gnu
-            grad = row @ (row.T @ grad)
-            if float(np.linalg.norm(grad)) <= 1e-14 * max(1.0, abs(f)):
-                break
-            step, improved = 1.0, False
-            while step > 1e-14:
-                cand = c + step * grad
-                cn = float(np.linalg.norm(cand))
-                if cn > 1e-14:
-                    fc = ratio(cand / cn)
-                    if fc > f + 1e-15:
-                        c, f, improved = cand / cn, fc, True
-                        break
-                step *= 0.5
-            if not improved:
-                break
-        if f > best_val:
-            best_val, best_c = f, c
-
-    value = max(best_val, 0.0)
-    maximizer = None
-    if best_c is not None:
-        maximizer = np.tensordot(best_c / seminorm(best_c), gen_stack, axes=(0, 0))
-
-    gap = None
-    if oracle_step is not None:
-        oracle = connes_distance_oracle(triple, state_a, state_b,
-                                        GridSpec(step=oracle_step))
-        gap = abs(value - oracle)
-    return DistanceResult(value, maximizer, gap)
+    Deterministic; bound - value <= 1e-9 max(1, value) unless the solver
+    stops first (Newton budget, or a line search that rounding defeats).
+    Pass oracle_step to also record |value - grid oracle| in the gap field."""
+    gens, d = _generators_and_difference(triple, state_a, state_b)
+    value, maximizer, bound, dual = 0.0, np.zeros_like(triple.D_F), 0.0, np.zeros_like(triple.D_F)
+    if float(np.max(np.abs(d), initial=0.0)) > tol:
+        # d(lambda D) = d(D) / lambda: solve at unit scale so that no SVD overflows
+        re, im = triple.D_F.real, triple.D_F.imag
+        scale = max(float(np.abs(re).max()), float(np.abs(im).max())) or 1.0
+        comms = _commutators(re / scale + 1j * (im / scale), gens)
+        row, kernel = _row_and_kernel(comms)
+        # d not vanishing on the null space of the commutator map: a feasible ray
+        if kernel.shape[1] and np.linalg.norm(kernel.T @ d) > 1e-12 * np.linalg.norm(d):
+            return DistanceResult(math.inf, None, None)
+        # K(c) is anti-Hermitian, so H(z) = i K(row z) is Hermitian and affine in z
+        basis = 1j * np.tensordot(row.T, comms, axes=1)
+        if np.abs(basis - basis.conj().transpose(0, 2, 1)).max() > 1e-12 * np.abs(basis).max():
+            raise UnsupportedTriple("distance needs a self-adjoint D_F and generators")
+        size = float(np.linalg.norm(row.T @ d))  # solved with e / |e| and D_F / scale
+        value, z, bound, dual = _barrier_solve(basis, row.T @ d / size, size / scale)
+        value, bound, dual = (x * size / scale for x in (value, bound, -1j * dual))
+        maximizer = np.tensordot(row @ z / scale, np.stack(gens), axes=1)
+    gap = None if oracle_step is None else abs(value - connes_distance_oracle(
+        triple, state_a, state_b, GridSpec(step=oracle_step)))
+    return DistanceResult(value, maximizer, gap, bound, dual)
 
 
 def connes_distance_oracle(triple: FiniteTriple, state_a: AlgebraState,
@@ -239,53 +244,48 @@ def connes_distance_oracle(triple: FiniteTriple, state_a: AlgebraState,
     axis carries objective weight the supremum is infinite and no finite grid
     applies.
     """
-    gens = _diagonal_generators(triple)
-    n = len(gens)
-    d = _state_vector(state_a, n) - _state_vector(state_b, n)
+    gens, d = _generators_and_difference(triple, state_a, state_b)
+    if not (math.isfinite(grid.step) and grid.step > 0):
+        raise DomainError(f"grid step must be positive and finite, got {grid.step!r}")
     if float(np.max(np.abs(d), initial=0.0)) == 0.0:
         return 0.0
 
-    comms = _commutators(triple, gens)
+    comms = _commutators(triple.D_F, gens)
     total = np.sum(np.stack([np.diag(g) for g in gens]), axis=0)
     partitions = bool(np.max(np.abs(total - 1.0)) <= 1e-12)
-    active = list(range(n - 1)) if partitions else list(range(n))
+    active = range(len(gens) - 1 if partitions else len(gens))
 
-    axes = []
-    kept = []
+    radii, kept = [], []
     for k in active:
-        nu_k = _spectral_norm(comms[k])
+        nu_k = float(np.linalg.svd(comms[k], compute_uv=False)[0])
         if nu_k <= 1e-13:
             if abs(d[k]) > 1e-12:
                 raise OracleIntractable(
                     "a null coefficient direction carries objective weight; "
                     "the supremum is not finite")
             continue
-        radius = grid.radius if grid.radius is not None else 1.05 / nu_k
-        axes.append(np.arange(-radius, radius + 0.5 * grid.step, grid.step))
+        radii.append(grid.radius if grid.radius is not None else 1.05 / nu_k)
         kept.append(k)
 
     if not kept:
         return 0.0
     if len(kept) > 4:
         raise OracleIntractable(f"{len(kept)} grid dimensions exceed the supported 4")
-    n_points = int(np.prod([a.size for a in axes]))
-    if n_points > grid.max_points:
-        raise OracleIntractable(f"grid of {n_points} points exceeds {grid.max_points}")
+    sizes = [(r + 0.5 * grid.step + r) / grid.step for r in radii]  # np.arange's, before it runs
+    if max(sizes) > grid.max_points or math.prod(map(math.ceil, sizes)) > grid.max_points:
+        raise OracleIntractable(f"grid of {math.prod(sizes):.4g} points exceeds {grid.max_points}")
+    axes = [np.arange(-r, r + 0.5 * grid.step, grid.step) for r in radii]
 
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
+    points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     m_active = comms[kept]
     d_active = d[kept]
 
     best = 0.0
     for lo in range(0, points.shape[0], 65536):
         chunk = points[lo:lo + 65536]
-        k_all = np.tensordot(chunk, m_active, axes=(1, 0))
-        sigma = np.linalg.svd(k_all, compute_uv=False)[:, 0]
+        sigma = np.linalg.svd(np.tensordot(chunk, m_active, axes=(1, 0)), compute_uv=False)[:, 0]
         feasible = sigma <= 1.0 + grid.feasibility_slack
-        if np.any(feasible):
-            vals = np.abs(chunk[feasible] @ d_active)
-            best = max(best, float(vals.max()))
+        best = max(best, float(np.abs(chunk[feasible] @ d_active).max(initial=0.0)))
     return best
 
 

@@ -90,6 +90,24 @@ class TestDistance:
         assert doc["maximizer"] is None
         jsonschema.validate(doc, OUTPUT_SCHEMAS["distance"])
 
+    def test_huge_coupling(self, capsys, tmp_path):
+        # the SVD of the unscaled commutators overflows and used to report "inf"
+        path = tmp_path / "huge.json"
+        ts.save_triple(ts.two_point_triple(1e308), path)
+        code, doc = run_json(capsys, "distance", "--triple", str(path),
+                             "--state-a", "0", "--state-b", "1")
+        assert code == 0
+        assert doc["value"] == pytest.approx(1e-308, rel=1e-12)
+        jsonschema.validate(doc, OUTPUT_SCHEMAS["distance"])
+
+    @pytest.mark.parametrize("step", ["-1", "0", "nan", "1e-9"])
+    def test_bad_oracle_step_exit_1(self, capsys, two_point_file, step):
+        # 1e-9 asks for a grid of 1e9 points, refused before np.arange allocates it
+        code, doc = run_json(capsys, "distance", "--triple", two_point_file,
+                             "--state-a", "0", "--state-b", "1", "--oracle-step", step)
+        assert code == 1
+        assert doc["error"] in {"DomainError", "OracleIntractable"}
+
     def test_unsupported_algebra_exit_1(self, capsys, tmp_path):
         path = tmp_path / "ew.json"
         ts.save_triple(ts.electroweak_triple(1.0), path)
@@ -349,6 +367,24 @@ class TestInputHandling:
         code, out = run_json(capsys, command, str(path))
         assert code == 2
         assert out["error"] == "MalformedInput"
+
+    def test_huge_integers_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text('{"event_a": {"t": 0, "x": [0, 0, 0]},'
+                        ' "event_b": {"t": 1%s, "x": [0, 0, 0]},'
+                        ' "m": [1.0, 0.0], "sheets": [0, 1]}' % ("0" * 400))
+        code, out = run_json(capsys, "causal", str(path))
+        assert code == 2
+        assert out["error"] == "MalformedInput"
+
+    def test_non_finite_result_exit_1(self, capsys, scenario):
+        # finite input whose proper time and L2m overflow to +inf and -inf
+        doc = {"event_a": {"t": 0.0, "x": [0, 0, 0]}, "event_b": {"t": 1e200, "x": [0, 0, 0]},
+               "m": [1.0, 0.0], "sheets": [0, 1]}
+        code, out = run(capsys, "causal", scenario(doc))
+        assert code == 1
+        assert "Infinity" not in out
+        assert json.loads(out)["error"] == "DomainError"
 
     @pytest.mark.parametrize("weights", ["[NaN, 1.0]", "[-Infinity, 1.0]", "[1e400, 0.0]"])
     def test_non_finite_state_weights_exit_2(self, capsys, two_point_file, weights):

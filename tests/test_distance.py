@@ -14,6 +14,22 @@ def pure(i):
     return ts.AlgebraState.pure(i, 2)
 
 
+def random_case(seed, n, complex_couplings):
+    """A seeded n-point triple with every pair coupled, and two mixed states."""
+    rng = np.random.default_rng(seed)
+    iu = np.triu_indices(n, 1)
+    if complex_couplings:
+        c = rng.standard_normal(iu[0].size) + 1j * rng.standard_normal(iu[0].size)
+    else:
+        c = rng.uniform(0.5, 1.5, size=iu[0].size)
+    d = np.zeros((n, n), dtype=complex)
+    d[iu] = c
+    gens = tuple(np.diag(row).astype(complex) for row in np.eye(n))
+    triple = ts.FiniteTriple(dim_H=n, algebra_generators=gens, D_F=d + d.conj().T)
+    w = rng.dirichlet(np.ones(n), size=2)
+    return triple, ts.AlgebraState(w[0]), ts.AlgebraState(w[1])
+
+
 def three_point_triple(m1, m2):
     gens = tuple(np.diag(row).astype(complex) for row in np.eye(3))
     d = np.array([[0, m1, 0],
@@ -151,6 +167,58 @@ class TestOracle:
                                       ts.AlgebraState.pure(5, 6))
 
 
+class TestCertificate:
+    @pytest.mark.parametrize("complex_couplings", [False, True])
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_dual_bound(self, n, complex_couplings):
+        for seed in range(3):
+            triple, a, b = random_case(100 * n + seed, n, complex_couplings)
+            result = ts.connes_distance(triple, a, b)
+            comms = np.stack([triple.D_F @ g - g @ triple.D_F for g in triple.algebra_generators])
+            pairing = np.real(np.einsum("kij,ij->k", comms.conj(), result.dual))
+            assert np.max(np.abs(pairing - (a.weights - b.weights))) <= 1e-12
+            nuclear = np.linalg.svd(result.dual, compute_uv=False).sum()
+            assert nuclear == pytest.approx(result.bound, rel=1e-12)
+            assert result.value <= result.bound * (1 + 1e-14)
+            assert result.bound - result.value <= 1e-9
+            a_max = result.maximizer
+            comm = triple.D_F @ a_max - a_max @ triple.D_F
+            assert np.linalg.svd(comm, compute_uv=False)[0] <= 1.0 + 1e-12
+            assert (a.weights - b.weights) @ np.real(np.diag(a_max)) == pytest.approx(
+                result.value, rel=1e-12)
+
+    @pytest.mark.parametrize("complex_couplings", [False, True])
+    def test_three_point_between_oracle_and_bound(self, complex_couplings):
+        triple, a, b = random_case(7, 3, complex_couplings)
+        result = ts.connes_distance(triple, a, b)
+        oracle = ts.connes_distance_oracle(triple, a, b, ts.GridSpec(step=5e-3))
+        assert 0.0 < oracle <= result.value * (1 + 1e-9)
+        assert result.value <= result.bound * (1 + 1e-14)
+
+    @pytest.mark.parametrize("case, ascent_value", [
+        ((0, 3, False), 0.12170739256457866),
+        ((1, 3, True), 0.33821998312485985),
+        ((2, 5, False), 0.172653747230322),
+        ((3, 5, True), 0.12848959976068275),
+        ((4, 8, True), 0.1231707853974251),
+    ])
+    def test_never_below_multi_start_ascent(self, case, ascent_value):
+        # values of the 16-start projected ascent that the barrier solver replaced
+        assert ts.connes_distance(*random_case(*case)).value >= ascent_value - 1e-12
+
+    def test_scale_of_the_coupling(self):
+        for m in (1e308, -1e308j, 1e-300):
+            result = ts.connes_distance(ts.two_point_triple(m), pure(0), pure(1))
+            assert result.value == pytest.approx(1.0 / abs(m), rel=1e-12)
+            assert result.bound == pytest.approx(1.0 / abs(m), rel=1e-12)
+
+    def test_non_self_adjoint_dirac_rejected(self):
+        t = ts.two_point_triple(1.0)
+        bad = ts.FiniteTriple(2, t.algebra_generators, np.array([[0, 1], [2, 0]], dtype=complex))
+        with pytest.raises(ts.UnsupportedTriple):
+            ts.connes_distance(bad, pure(0), pure(1))
+
+
 class TestInputValidation:
     def test_noncommutative_algebra_rejected(self):
         with pytest.raises(ts.UnsupportedAlgebra):
@@ -165,6 +233,17 @@ class TestInputValidation:
             ts.AlgebraState(np.array([-0.1, 1.1]))
         with pytest.raises(ts.StateError):
             ts.connes_distance(t, ts.AlgebraState(np.array([1.0])), pure(1))
+
+    @pytest.mark.parametrize("weights", [[math.nan, 1.0], [math.inf, 0.0], [0.5, -math.inf]])
+    def test_non_finite_weights(self, weights):
+        with pytest.raises(ts.StateError):
+            ts.AlgebraState(np.array(weights))
+
+    @pytest.mark.parametrize("step", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_grid_step(self, step):
+        with pytest.raises(ts.DomainError):
+            ts.connes_distance_oracle(ts.two_point_triple(1.0), pure(0), pure(1),
+                                      ts.GridSpec(step=step))
 
 
 class TestProductDistance:
