@@ -15,7 +15,7 @@ from .causality import (BOUNDARY_TOL, EmbeddingMetric, Event, MixedState, SheetP
                         minkowski_precedes, proper_time, proper_time_curve_oracle,
                         sheet_crossing_grid, two_sheet_cone_matrix, two_sheet_worst_eigenvalue)
 from .clifford import (GammaBasis, build_gamma_basis, extended_symmetry, krein_adjoint,
-                       krein_product, matrices_close)
+                       krein_product, matrices_close, slash)
 from .dispersion import (DEFAULT_SPINOR, PlaneWaveMode, SpinorClass, SpinorKind,
                          classify_spinor, dirac_momentum, internal_mass, krein_ratio,
                          krein_ratio_matrix, momentum_covector_matrix, on_shell_energy)
@@ -25,11 +25,11 @@ from .errors import (CausalityError, DimensionError, DomainError, InternalError,
                      KreinNullError, NonHermitianError, OracleIntractable, StateError,
                      TwoSheetError, UnsupportedAlgebra, UnsupportedTriple)
 from .finite_triple import (AxiomCheck, FiniteTriple, ValidationReport,
-                            electroweak_triple, load_triple, represent_ew, save_triple,
+                            electroweak_triple, load_triple, quaternion, represent_ew, save_triple,
                             triple_from_dict, triple_to_dict, two_point_triple,
                             validate_axioms)
 from .fluctuation import (EWAlgebraElement, HiggsField, fluctuated_dispersion,
-                          higgs_phi, higgs_phi_completion, inner_fluctuation,
+                          fluctuated_triple, higgs_phi, higgs_phi_completion, inner_fluctuation,
                           pair_for_higgs, trace_phi_sq, trace_phi_sq_closed_form)
 
 __version__ = "0.1.0"

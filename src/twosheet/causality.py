@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import GammaBasis
-from .errors import CausalityError, DomainError, InternalError, StateError
+from .clifford import GammaBasis, extended_symmetry, slash
+from .errors import CausalityError, DomainError, InternalError, StateError, require_finite
 from .finite_triple import two_point_triple
 
 BOUNDARY_TOL = 1e-12
@@ -43,8 +43,7 @@ class Event:
             raise DomainError(f"spatial part must be a 3-vector, got shape {x.shape}")
         object.__setattr__(self, "t", float(self.t))
         object.__setattr__(self, "x", x)
-        if not (math.isfinite(self.t) and np.all(np.isfinite(x))):
-            raise DomainError("event components must be finite")
+        require_finite("event components", self.t, x)
 
     @property
     def four_vector(self) -> np.ndarray:
@@ -202,6 +201,7 @@ def causally_related_mixed(a: MixedState, b: MixedState, m: complex,
 
 def crossing_threshold(m: complex) -> float:
     """Minimal proper time for a sheet crossing: pi/(2|m|), +inf at m = 0."""
+    require_finite("mass", m)
     return interpolation_threshold(0.0, 1.0, m)
 
 
@@ -210,6 +210,14 @@ def _hermitian_or_die(mat, context: str) -> np.ndarray:
     if dev > 1e-12 * max(1.0, float(np.max(np.abs(mat), initial=0.0))):
         raise InternalError(f"{context}: assembled matrix is not Hermitian (dev {dev:.3e})")
     return 0.5 * (mat + mat.conj().T)
+
+
+def _largest_eigenvalue(mat) -> float:
+    """lambda_max of a Hermitian cone matrix; no convergence (entries overflowed) is a DomainError."""
+    try:
+        return float(np.max(np.linalg.eigvalsh(mat)))
+    except np.linalg.LinAlgError as exc:
+        raise DomainError(f"cone matrix eigenvalues did not converge: {exc}") from exc
 
 
 def _gradient(k) -> np.ndarray:
@@ -222,14 +230,14 @@ def _gradient(k) -> np.ndarray:
 def affine_cone_matrix(k, basis: GammaBasis) -> np.ndarray:
     """J * [D, f] = J * (-i gamma^mu k_mu) for an affine f with gradient k."""
     k = _gradient(k)
-    commutator = -1j * sum(k[mu] * basis.gamma[mu] for mu in range(4))
+    commutator = -1j * slash(k, basis)
     return _hermitian_or_die(basis.fundamental_symmetry @ commutator,
                              "affine_cone_matrix")
 
 
 def affine_worst_eigenvalue(k, basis: GammaBasis) -> float:
     """Largest eigenvalue of the affine cone matrix; <= 0 iff f is causal."""
-    return float(np.max(np.linalg.eigvalsh(affine_cone_matrix(k, basis))))
+    return _largest_eigenvalue(affine_cone_matrix(k, basis))
 
 
 def is_causal_affine_function(k, basis: GammaBasis, tol: float = BOUNDARY_TOL) -> bool:
@@ -252,7 +260,7 @@ def two_sheet_cone_matrix(k0, k1, c0: float, c1: float, m: complex,
     """
     k0, k1 = _gradient(k0), _gradient(k1)
     d_f = two_point_triple(m).D_F
-    j_ext = np.kron(basis.fundamental_symmetry, np.eye(2))
+    j_ext = extended_symmetry(basis, 8)
     slope = sum(-1j * np.kron(basis.gamma[mu], np.diag([k0[mu], k1[mu]]).astype(complex))
                 for mu in range(4))
     values = np.diag([k0 @ event.four_vector + c0,
@@ -275,8 +283,8 @@ def two_sheet_worst_eigenvalue(k0, k1, c0: float, c1: float, m: complex,
     if not len(points):
         raise DomainError("sample event set is empty")
     s = points @ k1 + c1 - (points @ k0 + c0)
-    return max(float(np.max(np.linalg.eigvalsh(two_sheet_cone_matrix(
-        k0, k1, c0, c1, m, Event(points[i, 0], points[i, 1:]), basis))))
+    return max(_largest_eigenvalue(two_sheet_cone_matrix(
+        k0, k1, c0, c1, m, Event(points[i, 0], points[i, 1:]), basis))
         for i in {int(np.argmin(s)), int(np.argmax(s))})
 
 
@@ -297,6 +305,7 @@ def is_causal_element_two_sheet(k0, k1, c0: float, c1: float, m: complex,
 
 def embedding_metric(m: complex) -> EmbeddingMetric:
     """The 5d metric diag(-1, 1, 1, 1, 1/|m|^2); infinite fiber at m = 0."""
+    require_finite("mass", m)
     fiber = math.inf if m == 0 else 1.0 / abs(m) ** 2
     g = np.diag([-1.0, 1.0, 1.0, 1.0, fiber])
     g.setflags(write=False)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import causality, dispersion, distance, fluctuation
 from .clifford import build_gamma_basis
-from .errors import DomainError, StateError, TwoSheetError
+from .errors import DomainError, TwoSheetError
 from .finite_triple import (decode_complex, electroweak_triple, encode_matrix,
                             triple_from_dict, validate_axioms)
 from .schemas import INPUT_SCHEMAS, TRIPLE_SCHEMA
@@ -82,6 +82,11 @@ def _scenario(args, command: str):
                       f"scenario for {command}")
 
 
+def _tol(args, name: str = "tol") -> dict:
+    """--tolerance as the library keyword name; absent, the library default applies."""
+    return {} if args.tolerance is None else {name: args.tolerance}
+
+
 def _event(doc) -> causality.Event:
     return causality.Event(t=doc["t"], x=np.asarray(doc["x"], dtype=float))
 
@@ -101,8 +106,7 @@ def _parse_state(text: str, n: int) -> distance.AlgebraState:
 
 
 def _cmd_validate(args, basis):
-    tol = args.tolerance if args.tolerance is not None else 1e-10
-    report = validate_axioms(_load_triple(args.triple), tol=tol)
+    report = validate_axioms(_load_triple(args.triple), **_tol(args))
     return {
         "all_passed": report.all_passed,
         "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
@@ -115,9 +119,8 @@ def _cmd_distance(args, basis):
     n = len(triple.algebra_generators)
     state_a = _parse_state(args.state_a, n)
     state_b = _parse_state(args.state_b, n)
-    tol = args.tolerance if args.tolerance is not None else 1e-12
     result = distance.connes_distance(triple, state_a, state_b,
-                                      oracle_step=args.oracle_step, tol=tol)
+                                      oracle_step=args.oracle_step, **_tol(args))
     return {
         "value": _num(result.value),
         "maximizer": None if result.maximizer is None else encode_matrix(result.maximizer),
@@ -129,7 +132,6 @@ def _cmd_causal(args, basis):
     doc = _scenario(args, "causal")
     ev_a, ev_b = _event(doc["event_a"]), _event(doc["event_b"])
     m = decode_complex(doc["m"])
-    tol = args.tolerance if args.tolerance is not None else causality.BOUNDARY_TOL
     tau = causality.proper_time(ev_a, ev_b) if causality.minkowski_precedes(ev_a, ev_b) else None
     # a sheet index is the weight of an endpoint interpolating state
     pure = "sheets" in doc
@@ -138,7 +140,7 @@ def _cmd_causal(args, basis):
     relation = causality.causally_related_pure if pure else causality.causally_related_mixed
     a, b = state(ev_a, weights[0]), state(ev_b, weights[1])
     return {
-        "related": relation(a, b, m, tol=tol),
+        "related": relation(a, b, m, **_tol(args)),
         "L2m": _num(causality.extremal_length_sq_sheets(a, b, m)) if pure else None,
         "proper_time": tau,
         "threshold": _num(causality.interpolation_threshold(*weights, m)),
@@ -160,9 +162,8 @@ def _cmd_cone(args, basis):
 
 def _cmd_lightcone_scan(args, basis):
     doc = _scenario(args, "lightcone-scan")
-    tol = args.tolerance if args.tolerance is not None else causality.BOUNDARY_TOL
     t, r = (np.linspace(doc[f"{a}_min"], doc[f"{a}_max"], doc[f"{a}_steps"]) for a in "tr")
-    allowed = causality.sheet_crossing_grid(t, r, decode_complex(doc["m"]), tol=tol)
+    allowed = causality.sheet_crossing_grid(t, r, decode_complex(doc["m"]), **_tol(args))
     t_col, r_col = (np.array([repr(v) for v in a.tolist()], dtype=object) for a in (t, r))
     cells = np.empty(allowed.shape + (2,), dtype=object)  # shared "t" and ",r,flag" strings
     cells[..., 0] = t_col[:, None]
@@ -173,12 +174,10 @@ def _cmd_lightcone_scan(args, basis):
 def _cmd_classify(args, basis):
     doc = _scenario(args, "classify")
     triple = _load_triple(doc["triple_file"])
-    tol = doc.get("tol")
-    if tol is None:
-        tol = args.tolerance if args.tolerance is not None else 1e-9
+    tol = {"tol": doc["tol"]} if "tol" in doc else _tol(args)
     mode = dispersion.PlaneWaveMode(E=doc["E"], p=np.asarray(doc["p"], dtype=float),
                                     internal=doc["internal_index"])
-    result = dispersion.classify_spinor(triple, mode, basis, tol=tol)
+    result = dispersion.classify_spinor(triple, mode, basis, **tol)
     mass = dispersion.internal_mass(triple, doc["internal_index"])
     return {
         "class": result.kind.value,
@@ -215,18 +214,11 @@ def _cmd_ew_dispersion(args, basis):
     doc = _scenario(args, "ew-dispersion")
     m_e = decode_complex(doc["m_e"])
     field = fluctuation.HiggsField.broken(doc["v"], doc["h"])
-    triple = electroweak_triple(m_e)
-    if doc["state"] not in triple.labels:
-        raise StateError(f"unknown internal state label {doc['state']!r}")
-    index = triple.labels.index(doc["state"])
-    phi_full = fluctuation.higgs_phi_completion(m_e, field)
-    mass_sq = float(np.real((phi_full @ phi_full)[index, index]))
-    p = np.asarray(doc["p"], dtype=float)
-    energy = math.sqrt(float(p @ p) + mass_sq)
-    block_tol = args.tolerance if args.tolerance is not None else 1e-12
-    residual = fluctuation.fluctuated_dispersion(triple, m_e, field, energy, p,
-                                                 doc["state"], basis,
-                                                 block_tol=block_tol)
+    triple = fluctuation.fluctuated_triple(m_e, field)
+    mass = dispersion.internal_mass(triple, triple.label_index(doc["state"]))
+    energy = dispersion.on_shell_energy(doc["p"], mass)
+    residual = fluctuation.fluctuated_dispersion(triple, m_e, field, energy, doc["p"],
+                                                 doc["state"], basis, **_tol(args, "block_tol"))
     return {"E_on_shell": energy, "residual": residual}
 
 
@@ -246,8 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tolerance", type=float, default=None,
                         help="override the default tolerance of the operation")
-    common.add_argument("--seed", type=int, default=0,
-                        help="accepted for compatibility; no subcommand is randomized")
     common.add_argument("--output", default=None,
                         help="write the result to this path instead of stdout")
 
@@ -297,6 +287,11 @@ def _emit(text: str, path):
         sys.stdout.write(text)
 
 
+def _fail(error: str, message, code: int) -> int:
+    sys.stdout.write(json.dumps({"error": error, "message": str(message)}, sort_keys=True) + "\n")
+    return code
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     basis = build_gamma_basis()
@@ -304,13 +299,11 @@ def main(argv=None) -> int:
     try:
         text = _encode(handler(args, basis))
     except InputError as exc:
-        sys.stdout.write(json.dumps({"error": "MalformedInput", "message": str(exc)},
-                                    sort_keys=True) + "\n")
-        return 2
+        return _fail("MalformedInput", exc, 2)
+    except OverflowError as exc:  # float ** on a finite input past the double range
+        return _fail("DomainError", f"result is not finite: {exc}", 1)
     except TwoSheetError as exc:
-        sys.stdout.write(json.dumps({"error": type(exc).__name__, "message": str(exc)},
-                                    sort_keys=True) + "\n")
-        return 1
+        return _fail(type(exc).__name__, exc, 1)
     _emit(text, args.output)
     return 0
 

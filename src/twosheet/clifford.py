@@ -70,6 +70,11 @@ def matrices_close(a, b, tol: float = 1e-12) -> bool:
     return bool(np.max(np.abs(a - b), initial=0.0) <= tol)
 
 
+def slash(k, basis: GammaBasis) -> np.ndarray:
+    """gamma^mu k_mu for a covector k = (k_0, k_1, k_2, k_3)."""
+    return sum(k[mu] * basis.gamma[mu] for mu in range(4))
+
+
 def extended_symmetry(basis: GammaBasis, dim: int) -> np.ndarray:
     """J (x) 1_n acting on a spinor space of total dimension dim = 4*n."""
     if dim <= 0 or dim % 4:

@@ -17,8 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .clifford import GammaBasis, krein_product
-from .errors import DomainError, InternalError, KreinNullError
+from .clifford import GammaBasis, krein_product, slash
+from .errors import DomainError, InternalError, KreinNullError, require_finite
 from .finite_triple import FiniteTriple
 
 KREIN_NULL_TOL = 1e-10
@@ -49,6 +49,7 @@ class PlaneWaveMode:
         object.__setattr__(self, "E", float(self.E))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "spinor", spinor)
+        require_finite("energy and momentum", self.E, p)
 
 
 class SpinorKind(Enum):
@@ -75,8 +76,7 @@ def _internal_vector(triple: FiniteTriple, index: int) -> np.ndarray:
 def momentum_covector_matrix(E: float, p, basis: GammaBasis) -> np.ndarray:
     """gamma^mu k_mu for the plane-wave phase (-E t + p.x), i.e. k = (-E, p)."""
     p = np.asarray(p, dtype=float).reshape(-1)
-    k = np.concatenate(([-float(E)], p))
-    return sum(k[mu] * basis.gamma[mu] for mu in range(4))
+    return slash(np.concatenate(([-float(E)], p)), basis)
 
 
 def dirac_momentum(triple: FiniteTriple, mode: PlaneWaveMode, basis: GammaBasis) -> np.ndarray:
@@ -122,9 +122,10 @@ def classify_spinor(triple: FiniteTriple, mode: PlaneWaveMode, basis: GammaBasis
 
 def on_shell_energy(p, m: float) -> float:
     """sqrt(|p|^2 + m^2): the energy that makes the mode harmonic."""
+    p = np.asarray(p, dtype=float).reshape(-1)
+    require_finite("momentum and mass", p, m)
     if m < 0:
         raise DomainError(f"mass must be nonnegative, got {m}")
-    p = np.asarray(p, dtype=float).reshape(-1)
     return math.sqrt(float(p @ p) + float(m) ** 2)
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check."""
+
+import numpy as np
 
 
 class TwoSheetError(Exception):
@@ -43,3 +45,9 @@ class NonHermitianError(TwoSheetError):
 
 class InternalError(TwoSheetError):
     """An internal consistency check failed; indicates a bug, not bad input."""
+
+
+def require_finite(what: str, *values) -> None:
+    """Raise DomainError unless every value (real, complex or array) is finite."""
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise DomainError(f"{what} must be finite")

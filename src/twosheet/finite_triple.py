@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, StateError, require_finite
 
 TWO_POINT_LABELS = ("sheet0", "sheet1")
 ELECTROWEAK_LABELS = (
@@ -65,8 +65,9 @@ class FiniteTriple:
         return self.J_F @ np.asarray(mat, dtype=complex).conj() @ np.linalg.inv(self.J_F)
 
     def label_index(self, label: str) -> int:
+        """Index of the named basis state; StateError for a label the triple lacks."""
         if label not in self.labels:
-            raise DomainError(f"unknown basis label {label!r}")
+            raise StateError(f"unknown internal state label {label!r}")
         return self.labels.index(label)
 
 
@@ -78,12 +79,14 @@ def two_point_triple(m: complex) -> FiniteTriple:
     code maps the internal separation 1/|m| to +inf in that case.
     """
     m = complex(m)
+    require_finite("mass", m)
     gens = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
     d = np.array([[0.0, m], [np.conj(m), 0.0]], dtype=complex)
     return FiniteTriple(dim_H=2, algebra_generators=gens, D_F=d, labels=TWO_POINT_LABELS)
 
 
-def _quaternion(alpha: complex, beta: complex) -> np.ndarray:
+def quaternion(alpha: complex, beta: complex) -> np.ndarray:
+    """A quaternion as the 2x2 complex matrix [[alpha, beta], [-conj(beta), conj(alpha)]]."""
     return np.array([[alpha, beta], [-np.conj(beta), np.conj(alpha)]], dtype=complex)
 
 
@@ -110,6 +113,7 @@ def electroweak_triple(m_e: complex) -> FiniteTriple:
     are annihilated by D_F exactly.
     """
     m_e = complex(m_e)
+    require_finite("electron mass", m_e)
     y = np.array([[0.0, 0.0], [0.0, m_e]], dtype=complex)
     d = np.zeros((8, 8), dtype=complex)
     d[0:2, 2:4] = y.conj().T
@@ -126,10 +130,10 @@ def electroweak_triple(m_e: complex) -> FiniteTriple:
     gens = (
         represent_ew(1.0, np.zeros((2, 2))),
         represent_ew(1.0j, np.zeros((2, 2))),
-        represent_ew(0.0, _quaternion(1.0, 0.0)),
-        represent_ew(0.0, _quaternion(1.0j, 0.0)),
-        represent_ew(0.0, _quaternion(0.0, 1.0)),
-        represent_ew(0.0, _quaternion(0.0, 1.0j)),
+        represent_ew(0.0, quaternion(1.0, 0.0)),
+        represent_ew(0.0, quaternion(1.0j, 0.0)),
+        represent_ew(0.0, quaternion(0.0, 1.0)),
+        represent_ew(0.0, quaternion(0.0, 1.0j)),
     )
     return FiniteTriple(dim_H=8, algebra_generators=gens, D_F=d, J_F=swap,
                         gamma_F=grading, labels=ELECTROWEAK_LABELS)

@@ -15,14 +15,15 @@ Only the scalar sector is generated here: gauge-vector one-forms are out of
 scope by construction.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .clifford import GammaBasis
-from .dispersion import DEFAULT_SPINOR, krein_ratio_matrix, momentum_covector_matrix
-from .errors import DomainError, InternalError, NonHermitianError, StateError, UnsupportedTriple
-from .finite_triple import FiniteTriple, represent_ew
+from .dispersion import PlaneWaveMode, dirac_momentum, krein_ratio
+from .errors import (DomainError, InternalError, NonHermitianError, UnsupportedTriple,
+                     require_finite)
+from .finite_triple import FiniteTriple, electroweak_triple, quaternion, represent_ew
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,8 +45,7 @@ class EWAlgebraElement:
 
     @classmethod
     def from_parts(cls, scalar: complex, alpha: complex, beta: complex) -> "EWAlgebraElement":
-        q = np.array([[alpha, beta], [-np.conj(beta), np.conj(alpha)]], dtype=complex)
-        return cls(scalar=scalar, quaternion=q)
+        return cls(scalar=scalar, quaternion=quaternion(alpha, beta))
 
     @classmethod
     def identity(cls) -> "EWAlgebraElement":
@@ -71,6 +71,7 @@ class HiggsField:
     def __post_init__(self):
         object.__setattr__(self, "h1", complex(self.h1))
         object.__setattr__(self, "h2", complex(self.h2))
+        require_finite("Higgs doublet", self.h1, self.h2)
 
     @classmethod
     def broken(cls, v: float, h: float) -> "HiggsField":
@@ -102,8 +103,7 @@ def inner_fluctuation(triple: FiniteTriple, a: EWAlgebraElement,
     rep_a = a.represented()
     rep_b = b.represented()
     one_form = rep_a @ (triple.D_F @ rep_b - rep_b @ triple.D_F)
-    s = triple.J_F
-    return triple.D_F + one_form + s @ one_form.conj() @ np.linalg.inv(s)
+    return triple.D_F + one_form + triple.conjugate_by_real_structure(one_form)
 
 
 def higgs_phi(m_e: complex, field: HiggsField) -> np.ndarray:
@@ -124,6 +124,11 @@ def higgs_phi_completion(m_e: complex, field: HiggsField) -> np.ndarray:
     full[:4, :4] = phi
     full[4:, 4:] = phi.conj()
     return full
+
+
+def fluctuated_triple(m_e: complex, field: HiggsField) -> FiniteTriple:
+    """The electroweak triple with D_F replaced by the fluctuated operator Phi."""
+    return replace(electroweak_triple(m_e), D_F=higgs_phi_completion(m_e, field))
 
 
 def pair_for_higgs(h1: complex, h2: complex) -> tuple:
@@ -176,29 +181,20 @@ def fluctuated_dispersion(triple: FiniteTriple, m_e: complex, field: HiggsField,
                           *, block_tol: float = 1e-12) -> float:
     """Classification quotient of a plane wave under the fluctuated operator.
 
-    Builds D_Phi(E, p) = gamma^mu k_mu (x) 1_8 + gamma5 (x) Phi, verifies the
-    cross-term cancellation D_Phi^2 = (|p|^2 - E^2) (x) 1 + 1 (x) Phi^2, and
+    Replaces D_F by Phi in the triple, checks the cross-term cancellation
+    D_Phi^2 = (|p|^2 - E^2) (x) 1 + 1 (x) Phi^2 on its dirac_momentum, and
     returns the Krein quotient for the plane wave on the named internal
     state.  A zero return is the fluctuated dispersion relation.
     """
     _require_electroweak(triple)
-    if state_label not in triple.labels:
-        raise StateError(f"unknown internal state label {state_label!r}")
-    index = triple.labels.index(state_label)
+    mode = PlaneWaveMode(E, p, internal=triple.label_index(state_label))
+    fluctuated = replace(triple, D_F=higgs_phi_completion(m_e, field))
+    dirac = dirac_momentum(fluctuated, mode, basis)
 
-    phi_full = higgs_phi_completion(m_e, field)
-    gk = momentum_covector_matrix(E, p, basis)
-    dirac = np.kron(gk, np.eye(8)) + np.kron(basis.gamma5, phi_full)
-
-    p = np.asarray(p, dtype=float).reshape(-1)
-    expected = ((float(p @ p) - float(E) ** 2) * np.eye(32)
-                + np.kron(np.eye(4), phi_full @ phi_full))
+    expected = ((float(mode.p @ mode.p) - mode.E ** 2) * np.eye(32)
+                + np.kron(np.eye(4), fluctuated.D_F @ fluctuated.D_F))
     dev = float(np.max(np.abs(dirac @ dirac - expected)))
     scale = max(1.0, float(np.max(np.abs(expected))))
     if dev > block_tol * scale:
         raise InternalError(f"cross-term cancellation violated: residue {dev:.3e}")
-
-    internal = np.zeros(8, dtype=complex)
-    internal[index] = 1.0
-    psi = np.kron(DEFAULT_SPINOR, internal)
-    return krein_ratio_matrix(dirac, psi, basis)
+    return krein_ratio(fluctuated, mode, basis)

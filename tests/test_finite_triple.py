@@ -59,6 +59,10 @@ class TestElectroweak:
         assert np.array_equal(t.D_F, np.zeros((8, 8)))
         assert t.is_degenerate
 
+    def test_unknown_label(self):
+        with pytest.raises(ts.StateError, match="unknown internal state label 'mu_L'"):
+            ts.electroweak_triple(1.0).label_index("mu_L")
+
     def test_real_structure_squares_to_one(self, rng):
         t = ts.electroweak_triple(1.5)
         psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
@@ -146,3 +150,29 @@ class TestSerialization:
         with pytest.raises(ts.DomainError):
             ts.FiniteTriple(dim_H=3, algebra_generators=(),
                             D_F=np.zeros((2, 2)))
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ts.two_point_triple(NAN),
+    lambda: ts.electroweak_triple(complex(1.0, NAN)),
+    lambda: ts.PlaneWaveMode(NAN, np.zeros(3)),
+    lambda: ts.PlaneWaveMode(1.0, [0.0, NAN, 0.0]),
+    lambda: ts.HiggsField(NAN, 0.0),
+    lambda: ts.HiggsField(0.0, complex(0.0, NAN)),
+    lambda: ts.HiggsField.broken(NAN, 0.0),
+    lambda: ts.HiggsField.broken(1.0, NAN),
+    lambda: ts.crossing_threshold(NAN),
+    lambda: ts.embedding_metric(complex(NAN, 1.0)),
+    lambda: ts.on_shell_energy([0.0, 0.0, 0.0], NAN),
+    lambda: ts.on_shell_energy([NAN, 0.0, 0.0], 1.0),
+    lambda: ts.Event(NAN, np.zeros(3)),
+], ids=["two_point", "electroweak", "mode_E", "mode_p", "higgs_h1", "higgs_h2",
+        "broken_v", "broken_h", "crossing_threshold", "embedding_metric",
+        "on_shell_mass", "on_shell_p", "event"])
+def test_constructors_reject_nan(build):
+    """One finiteness rule for every constructor that takes a number."""
+    with pytest.raises(ts.DomainError, match="must be finite"):
+        build()

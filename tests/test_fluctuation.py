@@ -192,6 +192,29 @@ class TestFluctuatedDispersion:
             assert np.max(np.abs(d @ d - expected)) <= 1e-12
 
 
+class TestFluctuatedTriple:
+    def test_passes_every_axiom(self, rng):
+        for h2_scale in (0.0, 1.0):
+            for _ in range(4):
+                h1, h2 = random_doublet(rng)
+                m_e = complex(rng.standard_normal(), rng.standard_normal())
+                triple = ts.fluctuated_triple(m_e, ts.HiggsField(h1, h2_scale * h2))
+                report = ts.validate_axioms(triple)
+                assert report.all_passed, report.checks
+
+    def test_dispersion_is_krein_ratio(self, basis, rng):
+        for label in ("e_L", "nu_R", "anti_e_R"):
+            h1, h2 = random_doublet(rng)
+            m_e = complex(rng.standard_normal(), rng.standard_normal())
+            field = ts.HiggsField(h1, h2)
+            E, p = rng.uniform(-3, 3), rng.uniform(-2, 2, size=3)
+            triple = ts.fluctuated_triple(m_e, field)
+            mode = ts.PlaneWaveMode(E, p, internal=triple.label_index(label))
+            assert (ts.fluctuated_dispersion(ts.electroweak_triple(m_e), m_e, field, E, p,
+                                             label, basis)
+                    == ts.krein_ratio(triple, mode, basis))
+
+
 class TestEWAlgebraElement:
     def test_quaternion_form_enforced(self):
         with pytest.raises(ts.DomainError):
