@@ -28,8 +28,8 @@ from .finite_triple import (AxiomCheck, FiniteTriple, ValidationReport,
                             electroweak_triple, load_triple, quaternion, represent_ew, save_triple,
                             triple_from_dict, triple_to_dict, two_point_triple,
                             validate_axioms)
-from .fluctuation import (EWAlgebraElement, HiggsField, fluctuated_dispersion,
-                          fluctuated_triple, higgs_phi, higgs_phi_completion, inner_fluctuation,
-                          pair_for_higgs, trace_phi_sq, trace_phi_sq_closed_form)
+from .fluctuation import (EWAlgebraElement, HiggsField, fluctuated_triple, higgs_phi,
+                          higgs_phi_completion, inner_fluctuation, pair_for_higgs, trace_phi_sq,
+                          trace_phi_sq_closed_form)
 
 __version__ = "0.1.0"

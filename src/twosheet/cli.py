@@ -82,9 +82,9 @@ def _scenario(args, command: str):
                       f"scenario for {command}")
 
 
-def _tol(args, name: str = "tol") -> dict:
-    """--tolerance as the library keyword name; absent, the library default applies."""
-    return {} if args.tolerance is None else {name: args.tolerance}
+def _tol(args) -> dict:
+    """--tolerance as the library keyword; absent, the library default applies."""
+    return {} if args.tolerance is None else {"tol": args.tolerance}
 
 
 def _event(doc) -> causality.Event:
@@ -212,14 +212,12 @@ def _cmd_fluctuate(args, basis):
 
 def _cmd_ew_dispersion(args, basis):
     doc = _scenario(args, "ew-dispersion")
-    m_e = decode_complex(doc["m_e"])
     field = fluctuation.HiggsField.broken(doc["v"], doc["h"])
-    triple = fluctuation.fluctuated_triple(m_e, field)
-    mass = dispersion.internal_mass(triple, triple.label_index(doc["state"]))
-    energy = dispersion.on_shell_energy(doc["p"], mass)
-    residual = fluctuation.fluctuated_dispersion(triple, m_e, field, energy, doc["p"],
-                                                 doc["state"], basis, **_tol(args, "block_tol"))
-    return {"E_on_shell": energy, "residual": residual}
+    triple = fluctuation.fluctuated_triple(decode_complex(doc["m_e"]), field)
+    index = triple.label_index(doc["state"])
+    energy = dispersion.on_shell_energy(doc["p"], dispersion.internal_mass(triple, index))
+    mode = dispersion.PlaneWaveMode(energy, doc["p"], internal=index)
+    return {"E_on_shell": energy, "residual": dispersion.krein_ratio(triple, mode, basis)}
 
 
 _HANDLERS = {
@@ -236,19 +234,20 @@ _HANDLERS = {
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tolerance", type=float, default=None,
-                        help="override the default tolerance of the operation")
     common.add_argument("--output", default=None,
                         help="write the result to this path instead of stdout")
+    tolerant = argparse.ArgumentParser(add_help=False, parents=[common])
+    tolerant.add_argument("--tolerance", type=float, default=None,
+                          help="override the default tolerance of the operation")
 
     parser = argparse.ArgumentParser(prog="twosheet",
                                      description="two-sheet spectral geometry toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="check finite-triple axioms")
+    p = sub.add_parser("validate", parents=[tolerant], help="check finite-triple axioms")
     p.add_argument("--triple", required=True, help="path to a triple JSON document")
 
-    p = sub.add_parser("distance", parents=[common], help="Connes distance between states")
+    p = sub.add_parser("distance", parents=[tolerant], help="Connes distance between states")
     p.add_argument("--triple", required=True)
     p.add_argument("--state-a", required=True,
                    help="pure-state index or JSON list of weights")
@@ -256,15 +255,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-step", type=float, default=None,
                    help="also run the grid oracle with this step")
 
-    for name, help_text in (
-        ("causal", "causal relation between two (sheet or mixed) points"),
-        ("cone", "causal-cone test for an affine function or two-sheet element"),
-        ("lightcone-scan", "CSV scan of the cross-sheet cone boundary"),
-        ("classify", "classify a plane-wave mode"),
-        ("fluctuate", "assemble the fluctuated internal operator"),
-        ("ew-dispersion", "fluctuated dispersion relation residual"),
+    # fluctuate and ew-dispersion have no tolerance to override
+    for name, parent, help_text in (
+        ("causal", tolerant, "causal relation between two (sheet or mixed) points"),
+        ("cone", tolerant, "causal-cone test for an affine function or two-sheet element"),
+        ("lightcone-scan", tolerant, "CSV scan of the cross-sheet cone boundary"),
+        ("classify", tolerant, "classify a plane-wave mode"),
+        ("fluctuate", common, "assemble the fluctuated internal operator"),
+        ("ew-dispersion", common, "fluctuated dispersion relation residual"),
     ):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+        p = sub.add_parser(name, parents=[parent], help=help_text)
         p.add_argument("input", nargs="?", default="-",
                        help="scenario JSON path (default: stdin)")
     return parser

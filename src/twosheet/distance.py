@@ -123,12 +123,11 @@ def _real_rows(basis: np.ndarray) -> np.ndarray:
     return np.concatenate([basis.real, basis.imag], axis=1).reshape(basis.shape[0], -1)
 
 
-def _row_and_kernel(comms: np.ndarray):
-    """Orthonormal bases of the effective coefficient space and its kernel."""
-    _, s, vt = np.linalg.svd(_real_rows(comms).T, full_matrices=True)
+def _row_space(comms: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the effective coefficient space (the row space)."""
+    _, s, vt = np.linalg.svd(_real_rows(comms).T, full_matrices=False)
     cutoff = max(float(s[0]) * _KERNEL_RTOL, 1e-14) if s.size else 0.0
-    rank = int(np.sum(s > cutoff))
-    return vt[:rank].T, vt[rank:].T
+    return vt[:int(np.sum(s > cutoff))].T
 
 
 def _fit(basis: np.ndarray, e: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -216,9 +215,9 @@ def connes_distance(triple: FiniteTriple, state_a: AlgebraState, state_b: Algebr
         re, im = triple.D_F.real, triple.D_F.imag
         scale = max(float(np.abs(re).max()), float(np.abs(im).max())) or 1.0
         comms = _commutators(re / scale + 1j * (im / scale), gens)
-        row, kernel = _row_and_kernel(comms)
+        row = _row_space(comms)
         # d not vanishing on the null space of the commutator map: a feasible ray
-        if kernel.shape[1] and np.linalg.norm(kernel.T @ d) > 1e-12 * np.linalg.norm(d):
+        if np.linalg.norm(d - row @ (row.T @ d)) > 1e-12 * np.linalg.norm(d):
             return DistanceResult(math.inf, None, None)
         # K(c) is anti-Hermitian, so H(z) = i K(row z) is Hermitian and affine in z
         basis = 1j * np.tensordot(row.T, comms, axes=1)

@@ -19,10 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clifford import GammaBasis
-from .dispersion import PlaneWaveMode, dirac_momentum, krein_ratio
-from .errors import (DomainError, InternalError, NonHermitianError, UnsupportedTriple,
-                     require_finite)
+from .errors import DomainError, NonHermitianError, UnsupportedTriple, require_finite
 from .finite_triple import FiniteTriple, electroweak_triple, quaternion, represent_ew
 
 
@@ -86,12 +83,6 @@ class HiggsField:
         return abs(self.h1 + 1.0) ** 2 + abs(self.h2) ** 2
 
 
-def _require_electroweak(triple: FiniteTriple):
-    if triple.dim_H != 8 or triple.J_F is None:
-        raise UnsupportedTriple("operation needs the 8-dimensional electroweak triple "
-                                "with a real structure")
-
-
 def inner_fluctuation(triple: FiniteTriple, a: EWAlgebraElement,
                       b: EWAlgebraElement) -> np.ndarray:
     """Phi = D_F + a [D_F, b] + J_F a [D_F, b] J_F*, assembled literally.
@@ -99,7 +90,9 @@ def inner_fluctuation(triple: FiniteTriple, a: EWAlgebraElement,
     Defined for every pair; the result is Hermitian exactly when the
     one-form a [D_F, b] is self-adjoint (an admissible pair).
     """
-    _require_electroweak(triple)
+    if triple.dim_H != 8 or triple.J_F is None:
+        raise UnsupportedTriple("operation needs the 8-dimensional electroweak triple "
+                                "with a real structure")
     rep_a = a.represented()
     rep_b = b.represented()
     one_form = rep_a @ (triple.D_F @ rep_b - rep_b @ triple.D_F)
@@ -127,7 +120,11 @@ def higgs_phi_completion(m_e: complex, field: HiggsField) -> np.ndarray:
 
 
 def fluctuated_triple(m_e: complex, field: HiggsField) -> FiniteTriple:
-    """The electroweak triple with D_F replaced by the fluctuated operator Phi."""
+    """The electroweak triple with D_F replaced by the fluctuated operator Phi.
+
+    dispersion.krein_ratio of a plane wave on this triple is the fluctuated
+    dispersion relation: zero on shell, E = sqrt(|p|^2 + internal_mass^2).
+    """
     return replace(electroweak_triple(m_e), D_F=higgs_phi_completion(m_e, field))
 
 
@@ -174,27 +171,3 @@ def trace_phi_sq(phi: np.ndarray) -> float:
 def trace_phi_sq_closed_form(m_e: complex, field: HiggsField) -> float:
     """2 |m_e|^2 (|h1 + 1|^2 + |h2|^2), the closed form for the 4x4 sector."""
     return 2.0 * abs(complex(m_e)) ** 2 * field.doublet_norm_sq
-
-
-def fluctuated_dispersion(triple: FiniteTriple, m_e: complex, field: HiggsField,
-                          E: float, p, state_label: str, basis: GammaBasis,
-                          *, block_tol: float = 1e-12) -> float:
-    """Classification quotient of a plane wave under the fluctuated operator.
-
-    Replaces D_F by Phi in the triple, checks the cross-term cancellation
-    D_Phi^2 = (|p|^2 - E^2) (x) 1 + 1 (x) Phi^2 on its dirac_momentum, and
-    returns the Krein quotient for the plane wave on the named internal
-    state.  A zero return is the fluctuated dispersion relation.
-    """
-    _require_electroweak(triple)
-    mode = PlaneWaveMode(E, p, internal=triple.label_index(state_label))
-    fluctuated = replace(triple, D_F=higgs_phi_completion(m_e, field))
-    dirac = dirac_momentum(fluctuated, mode, basis)
-
-    expected = ((float(mode.p @ mode.p) - mode.E ** 2) * np.eye(32)
-                + np.kron(np.eye(4), fluctuated.D_F @ fluctuated.D_F))
-    dev = float(np.max(np.abs(dirac @ dirac - expected)))
-    scale = max(1.0, float(np.max(np.abs(expected))))
-    if dev > block_tol * scale:
-        raise InternalError(f"cross-term cancellation violated: residue {dev:.3e}")
-    return krein_ratio(fluctuated, mode, basis)

@@ -1,14 +1,11 @@
 """JSON schemas for CLI scenario files and results.
 
 These dictionaries are the single source of truth; the published files under
-schemas/ in the repository are generated from them by dump_schemas and a test
-guards against drift.  Complex numbers are encoded as [re, im]; extended
+schemas/ in the repository mirror all_schema_files(), and a test guards
+against drift.  Complex numbers are encoded as [re, im]; extended
 reals as a number or the string "inf".  Scenario schemas reject unknown
 fields.
 """
-
-import json
-import os
 
 COMPLEX = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
 VEC3 = {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3}
@@ -249,10 +246,3 @@ def all_schema_files() -> dict:
         files[f"{name.replace('-', '_')}_output.json"] = schema
     return files
 
-
-def dump_schemas(directory: str) -> None:
-    os.makedirs(directory, exist_ok=True)
-    for fname, schema in all_schema_files().items():
-        with open(os.path.join(directory, fname), "w", encoding="utf-8") as fh:
-            json.dump(schema, fh, indent=2, sort_keys=True)
-            fh.write("\n")

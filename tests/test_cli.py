@@ -13,6 +13,7 @@ from twosheet.cli import main
 from twosheet.schemas import OUTPUT_SCHEMAS, all_schema_files
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+EPS = np.finfo(float).eps
 EVENTS = '"event_a": {"t": 0.0, "x": [0, 0, 0]}, "event_b": {"t": 2.0, "x": [0, 0, 0]}'
 
 
@@ -328,6 +329,40 @@ class TestEWDispersion:
         code, out = run_json(capsys, "ew-dispersion", scenario(doc))
         assert code == 1
         assert out["error"] == "StateError"
+
+    def test_large_momentum_on_shell(self, capsys, scenario):
+        # E^2 and |p|^2 near 3.4e4 cancel down to m^2 near 2.2
+        doc = {"m_e": [0.457, 0], "v": -3.151, "h": -0.234,
+               "p": [-16.76, 131.47, -127.59], "state": "e_R"}
+        code, out = run_json(capsys, "ew-dispersion", scenario(doc))
+        assert code == 0
+        assert abs(out["residual"]) <= 64 * EPS * 2 * out["E_on_shell"] ** 2
+
+    def test_residual_within_cancellation_bound(self, capsys, scenario):
+        rng = np.random.default_rng(22)
+        labels = ts.electroweak_triple(1.0).labels
+        for label in labels * 2:
+            m_e = [float(x) for x in rng.uniform(-2, 2, size=2)]
+            v, h = rng.uniform(-5, 5), rng.uniform(-0.5, 0.5)
+            direction = rng.standard_normal(3)
+            p = 10 ** rng.uniform(1, 4) * direction / np.linalg.norm(direction)
+            doc = {"m_e": m_e, "v": v, "h": h, "p": p.tolist(), "state": label}
+            code, out = run_json(capsys, "ew-dispersion", scenario(doc))
+            assert code == 0, (doc, out)
+            triple = ts.fluctuated_triple(complex(*m_e), ts.HiggsField.broken(v, h))
+            mass = ts.internal_mass(triple, triple.label_index(label))
+            scale = out["E_on_shell"] ** 2 + p @ p + mass ** 2
+            assert abs(out["residual"]) <= 64 * EPS * scale, (doc, out)
+
+    @pytest.mark.parametrize("command", ["fluctuate", "ew-dispersion"])
+    def test_tolerance_flag_refused(self, scenario, command):
+        # neither has a tolerance to override, so the flag is unknown
+        doc = {"m_e": [1.0, 0.0], "v": 2.0, "h": 0.1, "p": [1.0, 0.0, 0.0], "state": "e_L"}
+        if command == "fluctuate":
+            del doc["p"], doc["state"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--tolerance", "1e-3", scenario(doc)])
+        assert exc.value.code == 2
 
 
 class TestInputHandling:

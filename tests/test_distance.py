@@ -1,6 +1,7 @@
 """Spectral distance: optimizer against analytic values and the grid oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +206,18 @@ class TestCertificate:
     def test_never_below_multi_start_ascent(self, case, ascent_value):
         # values of the 16-start projected ascent that the barrier solver replaced
         assert ts.connes_distance(*random_case(*case)).value >= ascent_value - 1e-12
+
+    def test_peak_memory_at_n16(self):
+        # only the m x m right factor of the commutator SVD is kept, never its
+        # 2n^2 x 2n^2 left factor (2 MB at n = 16)
+        triple, a, b = random_case(1, 16, False)
+        tracemalloc.start()
+        try:
+            ts.connes_distance(triple, a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_scale_of_the_coupling(self):
         for m in (1e308, -1e308j, 1e-300):
