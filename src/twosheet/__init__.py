@@ -2,7 +2,7 @@
 
 Building blocks: an explicit gamma/Krein algebra for signature (-,+,+,+),
 finite internal spectral triples (two-point and electroweak), the Connes
-spectral distance with a brute-force oracle, the causal structure of the
+spectral distance with a grid oracle, the causal structure of the
 two-sheet space, the causal/harmonic/non-causal classification of plane-wave
 spinors, and scalar inner fluctuations of the electroweak model.
 """

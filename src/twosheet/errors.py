@@ -32,7 +32,7 @@ class UnsupportedTriple(TwoSheetError):
 
 
 class OracleIntractable(TwoSheetError):
-    """The brute-force oracle would need an unreasonably large grid."""
+    """The grid oracle would need an unreasonably large grid."""
 
 
 class KreinNullError(TwoSheetError):

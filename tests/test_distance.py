@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twosheet as ts
+from twosheet import distance
 
 
 def pure(i):
@@ -38,6 +39,44 @@ def three_point_triple(m1, m2):
                   [0, np.conj(m2), 0]], dtype=complex)
     return ts.FiniteTriple(dim_H=3, algebra_generators=gens, D_F=d,
                            labels=("a", "b", "c"))
+
+
+def exhaustive_oracle(triple, a, b, grid):
+    """The oracle's grid with every point tested, in chunks of 65536.
+
+    |c.d| is taken over the whole chunk before the feasible points are picked:
+    numpy rounds a one-row product differently from the same row of a longer
+    one, so picking first would make a point's score depend on its neighbours."""
+    problem = distance._oracle_grid(triple, a, b, grid)
+    if problem is None:
+        return 0.0
+    points, m_active, d_active = problem
+    best = 0.0
+    for lo in range(0, points.shape[0], 65536):
+        chunk = points[lo:lo + 65536]
+        sigma = np.linalg.svd(np.tensordot(chunk, m_active, axes=(1, 0)), compute_uv=False)[:, 0]
+        feasible = sigma <= 1.0 + grid.feasibility_slack
+        best = max(best, float(np.abs(chunk @ d_active)[feasible].max(initial=0.0)))
+    return best
+
+
+def oracle_case(seed):
+    """A seeded 2- to 4-point triple, a pair of states and a grid of about 200 points."""
+    rng = np.random.default_rng([seed, 23])
+    n = int(rng.integers(2, 5))
+    triple, a, b = random_case(seed, n, complex_couplings=bool(seed % 2))
+    gens = triple.algebra_generators
+    if seed % 3 == 0:  # not a partition of the identity: no axis is gauge-fixed
+        gens = tuple(g * rng.uniform(0.5, 2.0) for g in gens)
+        triple = ts.FiniteTriple(dim_H=n, algebra_generators=gens, D_F=triple.D_F)
+    if seed % 4 == 0:
+        i, j = rng.choice(n, size=2, replace=False)
+        a, b = ts.AlgebraState.pure(int(i), n), ts.AlgebraState.pure(int(j), n)
+    dims = n if seed % 3 == 0 else n - 1
+    radius = float(rng.uniform(0.3, 3.0)) if seed % 5 == 0 else None
+    width = 2 * radius if radius else 2.1 / float(np.abs(triple.D_F).max())
+    step = width / {1: 200, 2: 12, 3: 6, 4: 4}[dims] * float(rng.uniform(0.8, 1.2))
+    return triple, a, b, ts.GridSpec(step=step, radius=radius)
 
 
 class TestTwoPointDistance:
@@ -156,6 +195,57 @@ class TestOracle:
         result = ts.connes_distance(t, a, b)
         assert abs(result.value - oracle) <= 2 * step
 
+    @pytest.mark.parametrize("seeds", [range(0, 100), range(100, 200)])
+    def test_matches_exhaustive_search(self, seeds):
+        for seed in seeds:
+            case = oracle_case(seed)
+            assert repr(ts.connes_distance_oracle(*case)) == repr(exhaustive_oracle(*case)), seed
+
+    @pytest.mark.parametrize("i, j", [(0, 2), (0, 1), (1, 2)])
+    def test_matches_exhaustive_search_on_ties(self, i, j):
+        # for (0, 2) the objective is |c_0|, constant along the whole c_1 axis
+        t = three_point_triple(1.0, 0.6)
+        a, b = ts.AlgebraState.pure(i, 3), ts.AlgebraState.pure(j, 3)
+        grid = ts.GridSpec(step=0.05)
+        assert repr(ts.connes_distance_oracle(t, a, b, grid)) == repr(
+            exhaustive_oracle(t, a, b, grid))
+
+    def test_nothing_but_the_origin_feasible(self):
+        t = ts.two_point_triple(1.0)
+        # the axis {-2, 0, 2}: only c = 0 is feasible
+        assert ts.connes_distance_oracle(t, pure(0), pure(1),
+                                         ts.GridSpec(step=2.0, radius=2.0)) == 0.0
+        # the axis {-1.5, 1.5} misses the origin: no point is feasible
+        assert ts.connes_distance_oracle(t, pure(0), pure(1),
+                                         ts.GridSpec(step=3.0, radius=1.5)) == 0.0
+        same = ts.AlgebraState.two_point_mixed(0.3)
+        assert ts.connes_distance_oracle(t, same, same) == 0.0
+
+    def test_first_feasible_point_after_the_first_chunk(self):
+        t = ts.two_point_triple(1.0)
+        a, b = ts.AlgebraState.two_point_mixed(0.9), ts.AlgebraState.two_point_mixed(0.2)
+        grid = ts.GridSpec(step=1e-3, radius=3.0)
+        value = ts.connes_distance_oracle(t, a, b, grid)
+        assert repr(value) == repr(exhaustive_oracle(t, a, b, grid))
+        assert value == pytest.approx(0.7, abs=1e-3)
+        # so many points score above the feasible maximum that neither of the
+        # first two chunks (256 and 512 points) holds a feasible one
+        points, _, d_active = distance._oracle_grid(t, a, b, grid)
+        assert np.sum(np.abs(points @ d_active) > value) > 1000
+
+    def test_peak_memory_at_step_001(self):
+        # 346k points; the search adds 16 B per point (|c.d| and the visiting order)
+        t = three_point_triple(1.0, 0.6)
+        grid = ts.GridSpec(step=0.01, radius=1.1 * (1.0 + 1.0 / 0.6))
+        tracemalloc.start()
+        try:
+            ts.connes_distance_oracle(t, ts.AlgebraState.pure(0, 3), ts.AlgebraState.pure(2, 3),
+                                      grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+
     def test_dimension_guard(self):
         gens = tuple(np.diag(row).astype(complex) for row in np.eye(6))
         d = np.zeros((6, 6), dtype=complex)
@@ -257,6 +347,19 @@ class TestInputValidation:
         with pytest.raises(ts.DomainError):
             ts.connes_distance_oracle(ts.two_point_triple(1.0), pure(0), pure(1),
                                       ts.GridSpec(step=step))
+
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+    def test_bad_grid_radius(self, radius):
+        for b in (pure(1), pure(0)):
+            with pytest.raises(ts.DomainError):
+                ts.connes_distance_oracle(ts.two_point_triple(1.0), pure(0), b,
+                                          ts.GridSpec(radius=radius))
+
+    @pytest.mark.parametrize("slack", [-1e-9, math.nan, math.inf])
+    def test_bad_feasibility_slack(self, slack):
+        with pytest.raises(ts.DomainError):
+            ts.connes_distance_oracle(ts.two_point_triple(1.0), pure(0), pure(1),
+                                      ts.GridSpec(feasibility_slack=slack))
 
 
 class TestProductDistance:
