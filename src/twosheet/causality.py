@@ -151,11 +151,13 @@ def proper_time_curve_oracle(x: Event, y: Event, *, n_curves: int = 200,
 
 
 def _sheet_length_sq(l2, crossing: bool, m: complex):
-    """L2_m from the Minkowski l2 (a float or an array); +inf for an m = 0 crossing."""
+    """L2_m from the Minkowski l2 (a float or an array); +inf for a crossing at m = 0
+    or at a mass too small for |m|^2 to be a double."""
     base = (4.0 / math.pi**2) * l2
     if not crossing:
         return base
-    return math.inf if m == 0 else base + 1.0 / abs(m) ** 2
+    m2 = abs(m) ** 2  # 0.0 also for 0 < |m| < ~1e-162, where the square underflows
+    return math.inf if m2 == 0 else base + 1.0 / m2
 
 
 def _pure_relation(dt, l2, crossing: bool, m: complex, tol: float):
@@ -304,9 +306,13 @@ def is_causal_element_two_sheet(k0, k1, c0: float, c1: float, m: complex,
 
 
 def embedding_metric(m: complex) -> EmbeddingMetric:
-    """The 5d metric diag(-1, 1, 1, 1, 1/|m|^2); infinite fiber at m = 0."""
+    """The 5d metric diag(-1, 1, 1, 1, 1/|m|^2).
+
+    The fiber entry is L2_m of a sheet crossing with no Minkowski separation,
+    so it is infinite at m = 0 and wherever |m|^2 underflows.
+    """
     require_finite("mass", m)
-    fiber = math.inf if m == 0 else 1.0 / abs(m) ** 2
+    fiber = _sheet_length_sq(0.0, True, m)
     g = np.diag([-1.0, 1.0, 1.0, 1.0, fiber])
     g.setflags(write=False)
     return EmbeddingMetric(g=g, m=complex(m))

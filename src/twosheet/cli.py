@@ -8,6 +8,7 @@ byte-stable for identical inputs.
 """
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -164,11 +165,11 @@ def _cmd_lightcone_scan(args, basis):
     doc = _scenario(args, "lightcone-scan")
     t, r = (np.linspace(doc[f"{a}_min"], doc[f"{a}_max"], doc[f"{a}_steps"]) for a in "tr")
     allowed = causality.sheet_crossing_grid(t, r, decode_complex(doc["m"]), **_tol(args))
-    t_col, r_col = (np.array([repr(v) for v in a.tolist()], dtype=object) for a in (t, r))
-    cells = np.empty(allowed.shape + (2,), dtype=object)  # shared "t" and ",r,flag" strings
-    cells[..., 0] = t_col[:, None]
-    cells[..., 1] = np.where(allowed, "," + r_col + ",1\n", "," + r_col + ",0\n")
-    return "".join(["t,r,sheet_crossing_allowed\n", *cells.ravel().tolist()])
+    ends = np.array([[f",{v!r},{flag}\n" for v in r.tolist()] for flag in (0, 1)], dtype=object)
+    # row i is t_i before each of its ",r_j,flag" ends: one join with t_i as the separator
+    rows = (repr(t_i).join(["", *row_ends])
+            for t_i, row_ends in zip(t.tolist(), np.where(allowed, ends[1], ends[0]).tolist()))
+    return "".join(["t,r,sheet_crossing_allowed\n", *rows])
 
 
 def _cmd_classify(args, basis):
@@ -292,12 +293,17 @@ def _fail(error: str, message, code: int) -> int:
     return code
 
 
+# Built once per process: parse_args keeps no state between calls, and the
+# basis arrays are read-only.
+_PARSER = _build_parser()
+_BASIS = build_gamma_basis()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    basis = build_gamma_basis()
+    args = _PARSER.parse_args(argv)
     handler = _HANDLERS[args.command]
     try:
-        text = _encode(handler(args, basis))
+        text = _encode(handler(args, _BASIS))
     except InputError as exc:
         return _fail("MalformedInput", exc, 2)
     except OverflowError as exc:  # float ** on a finite input past the double range
@@ -308,5 +314,16 @@ def main(argv=None) -> int:
     return 0
 
 
+def entry() -> int:
+    """Process entry point (`twosheet`, `python -m twosheet.cli`).
+
+    Freezing the import heap moves its objects to the permanent generation,
+    which the collections at interpreter shutdown skip.  Only a process
+    entry may freeze: in-process callers of main would pin their garbage.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

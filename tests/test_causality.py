@@ -290,6 +290,11 @@ class TestEmbeddingMetric:
         assert metric.infinite_fiber
         assert math.isinf(metric.g[4, 4])
 
+    def test_underflowing_mass_is_degenerate(self):
+        # |m|^2 underflows to 0.0 for 0 < |m| < ~1e-162
+        assert ts.embedding_metric(1e-300).infinite_fiber
+        assert ts.embedding_metric(1e-161).g[4, 4] == 1.0 / abs(1e-161) ** 2
+
 
 def test_event_validation():
     with pytest.raises(ts.DomainError):

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -161,6 +163,18 @@ class TestCausal:
         assert out["threshold"] == "inf"
         jsonschema.validate(out, OUTPUT_SCHEMAS["causal"])
 
+    def test_underflowing_mass_infinite_length(self, capsys, scenario):
+        # |m|^2 underflows to 0.0: the crossing reads as at m = 0
+        doc = {"event_a": {"t": 0.0, "x": [0, 0, 0]},
+               "event_b": {"t": 5.0, "x": [0, 0, 0]},
+               "m": [1e-300, 0.0], "sheets": [0, 1]}
+        code, out = run_json(capsys, "causal", scenario(doc))
+        assert code == 0
+        assert out["related"] is False
+        assert out["L2m"] == "inf"
+        assert out["threshold"] == (math.pi / 2) / 1e-300
+        jsonschema.validate(out, OUTPUT_SCHEMAS["causal"])
+
     @pytest.mark.parametrize("m", [[0.0, 0.0], [1.3, 0.0], [-0.4, 2.1]])
     @pytest.mark.parametrize("xis", [[0.0, 1.0], [0.35, 0.35], [0.9, 0.2], [1, 0]])
     def test_mixed_threshold_matches_arcsin_formula(self, capsys, scenario, m, xis):
@@ -265,6 +279,33 @@ class TestLightconeScan:
         code, out = run(capsys, "lightcone-scan", scenario(doc))
         assert code == 0
         assert out == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("doc", [
+        {"m": [1.0, 0.0], "t_min": 2.0, "t_max": 9.0, "t_steps": 1,
+         "r_min": 0.0, "r_max": 1.5, "r_steps": 7},
+        {"m": [0.5, 0.5], "t_min": 0.0, "t_max": 6.0, "t_steps": 11,
+         "r_min": 0.75, "r_max": 3.0, "r_steps": 1},
+        {"m": [1.0, -0.0], "t_min": -0.0, "t_max": 3.0, "t_steps": 4,
+         "r_min": -0.0, "r_max": -0.0, "r_steps": 2},
+        {"m": [1.0, 0.0], "t_min": -1e300, "t_max": 1e300, "t_steps": 5,
+         "r_min": 0.0, "r_max": 1e300, "r_steps": 3},
+        {"m": [1e154, 0.0], "t_min": 0.0, "t_max": 3e-154, "t_steps": 7,
+         "r_min": -1e-154, "r_max": 1e-154, "r_steps": 3},
+        {"m": [1e-300, 0.0], "t_min": 0.0, "t_max": 1e3, "t_steps": 4,
+         "r_min": 0.0, "r_max": 1.0, "r_steps": 3},
+    ], ids=["one-time", "one-radius", "negative-zero", "huge-events", "huge-mass",
+            "underflowing-mass"])
+    def test_edge_grids_match_cell_by_cell_relation(self, capsys, scenario, doc):
+        self.test_matches_cell_by_cell_relation(capsys, scenario, doc)
+
+    def test_underflowing_mass_never_crosses(self, capsys, scenario):
+        doc = {"m": [1e-300, 0.0], "t_min": 0.0, "t_max": 1e6, "t_steps": 6,
+               "r_min": 0.0, "r_max": 1.0, "r_steps": 2}
+        code, out = run(capsys, "lightcone-scan", scenario(doc))
+        assert code == 0
+        rows = out.strip().split("\n")[1:]
+        assert len(rows) == 12
+        assert {row.rsplit(",", 1)[1] for row in rows} == {"0"}
 
 
 class TestClassify:
@@ -459,6 +500,57 @@ class TestDeterminism:
         assert code == 0
         assert out == ""
         assert json.loads(out_path.read_text())["causal"] is True
+
+
+class TestRepeatedCalls:
+    """main reuses one parser per process; no call may leak into the next."""
+
+    # 0 < L2_m = 1 - (4/pi^2) 1.5^2 < 0.5: related only under --tolerance 0.5
+    DOC = {"event_a": {"t": 0.0, "x": [0, 0, 0]}, "event_b": {"t": 1.5, "x": [0, 0, 0]},
+           "m": [1.0, 0.0], "sheets": [0, 1]}
+
+    def test_tolerance_does_not_stick(self, capsys, scenario):
+        path = scenario(self.DOC)
+        first = run(capsys, "causal", path)
+        loose = run(capsys, "causal", "--tolerance", "0.5", path)
+        assert json.loads(first[1])["related"] is False
+        assert json.loads(loose[1])["related"] is True
+        assert run(capsys, "causal", path) == first
+
+    def test_output_does_not_stick(self, capsys, scenario, tmp_path):
+        path, out_path = scenario(self.DOC), tmp_path / "result.json"
+        assert run(capsys, "causal", "--output", str(out_path), path) == (0, "")
+        assert run(capsys, "causal", path) == (0, out_path.read_text())
+
+    def test_refused_argv_then_valid_call(self, capsys, scenario):
+        path = scenario(self.DOC)
+        first = run(capsys, "causal", path)
+        with pytest.raises(SystemExit) as exc:
+            main(["causal", "--bogus", path])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, "causal", path) == first
+
+
+class TestEntryPoint:
+    """`python -m twosheet.cli` (and the `twosheet` script) run cli.entry."""
+
+    @pytest.mark.parametrize("command, doc, code", [
+        ("causal", TestRepeatedCalls.DOC, 0),
+        ("cone", {"k": [1.0, 0, 0]}, 2),
+    ], ids=["valid", "malformed"])
+    def test_process_matches_main(self, capsys, scenario, command, doc, code):
+        path = scenario(doc)
+        expected = run(capsys, command, path)
+        assert expected[0] == code
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ts.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "twosheet.cli", command, path],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == expected
+
+    def test_console_script_is_entry(self):
+        with open(os.path.join(REPO_ROOT, "pyproject.toml"), encoding="utf-8") as fh:
+            assert 'twosheet = "twosheet.cli:entry"' in fh.read().splitlines()
 
 
 def test_published_schemas_match_source():
